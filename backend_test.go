@@ -2,6 +2,7 @@ package ddc
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"ddc/internal/workload"
@@ -214,6 +215,38 @@ func TestBackendAllocs(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("%s: RangeSumBatchInto allocates %.1f/op", backend, a)
 		}
+	}
+}
+
+// TestDenseDefaultCubeHeap pins the point of the density-adaptive
+// default: a fully populated 256x256 cube built by point Adds holds no
+// more live heap under the default backend than under classic, because
+// its dense row-sum groups have switched to the flat layout.
+func TestDenseDefaultCubeHeap(t *testing.T) {
+	live := func(backend string) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := NewDynamicWithOptions([]int{256, 256}, Options{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := 0; x < 256; x++ {
+			for y := 0; y < 256; y++ {
+				if err := c.Add([]int{x, y}, int64(x^y)+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	def, classic := live(""), live("classic")
+	t.Logf("live heap: default %d B, classic %d B", def, classic)
+	if def > classic {
+		t.Fatalf("dense default cube holds %d B live, classic %d B", def, classic)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 
 	"ddc"
 	"ddc/internal/experiments"
+	"ddc/internal/psum"
 )
 
 func main() {
@@ -36,7 +37,7 @@ func main() {
 	version := flag.Bool("version", false, "print version, Go toolchain and backend, then exit")
 	replay := flag.String("replay", "", "replay the DDCWKLD2 (or DDCWKLD1) workload capture in `file` (see FORMATS.md)")
 	replaySpeed := flag.Float64("replay-speed", 0, "replay pacing: 0 = as fast as possible, 1 = recorded rate, 2 = twice as fast")
-	backend := flag.String("backend", "", "prefix-sum backend for -replay: classic (default), blocked, blockfenwick")
+	backend := flag.String("backend", "", "prefix-sum backend for -replay: auto (default: classic per group until half its universe is populated, then blocked), classic, blocked, blockfenwick")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ddcbench [-list] <experiment-id>... | all\n\nexperiments:\n")
 		for _, e := range experiments.All() {
@@ -45,9 +46,10 @@ func main() {
 	}
 	flag.Parse()
 	if *version {
-		be := *backend
-		if be == "" {
-			be = "classic"
+		be, err := psum.ParseKind(*backend)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ddcbench:", err)
+			os.Exit(2)
 		}
 		fmt.Printf("ddcbench version=%s go_version=%s backend=%s\n", ddc.Version, runtime.Version(), be)
 		return

@@ -60,9 +60,6 @@ func execReplay(path, backend string, speed float64) (*replaySummary, *ddc.Dynam
 	if err != nil {
 		return nil, nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	if backend == "" {
-		backend = "classic"
-	}
 	c, err := ddc.NewDynamicWithOptions(info.Dims, ddc.Options{Backend: backend})
 	if err != nil {
 		return nil, nil, err

@@ -4,7 +4,7 @@
 // argues for.
 //
 //	ddcserver -data DIR -dims 100,366 -addr :8080 [-autogrow]
-//	          [-backend classic|blocked|blockfenwick]
+//	          [-backend auto|classic|blocked|blockfenwick]
 //	          [-pprof] [-trace-sample N] [-slow-query 50ms]
 //	          [-slo-objective 100ms]
 //	          [-workload-capture FILE] [-capture-sample N]
@@ -44,6 +44,7 @@ import (
 	"ddc"
 	"ddc/internal/cubecli"
 	"ddc/internal/cubeserver"
+	"ddc/internal/psum"
 	"ddc/internal/store"
 	"ddc/internal/workload"
 )
@@ -55,7 +56,7 @@ func main() {
 	cubePath := flag.String("cube", "", "snapshot to load instead of a fresh cube (legacy mode)")
 	walPath := flag.String("wal", "", "append mutations to this write-ahead log, replayed at startup (legacy mode)")
 	autogrow := flag.Bool("autogrow", false, "grow the cube for out-of-range updates")
-	backend := flag.String("backend", "", "prefix-sum backend for row-sum groups: classic (default), blocked, blockfenwick; snapshots/WAL are backend-agnostic, so any data loads under any backend")
+	backend := flag.String("backend", "", "prefix-sum backend for row-sum groups: auto (default: each group switches from classic to blocked once half its universe is populated), classic (paper-exact B_c tree), blocked, blockfenwick; snapshots/WAL are backend-agnostic, so any data loads under any backend")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	traceSample := flag.Int("trace-sample", 0, "record a structured trace for 1 in N queries (0 = off)")
 	slowQuery := flag.Duration("slow-query", 0, "log queries at or above this duration to /v1/trace (0 = off)")
@@ -70,9 +71,9 @@ func main() {
 	flag.Parse()
 
 	if *version {
-		be := *backend
-		if be == "" {
-			be = "classic"
+		be, err := psum.ParseKind(*backend)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("ddcserver version=%s go_version=%s backend=%s\n", ddc.Version, runtime.Version(), be)
 		return

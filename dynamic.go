@@ -26,21 +26,28 @@ type Options struct {
 	// returning an error.
 	AutoGrow bool
 	// Backend selects the one-dimensional prefix-sum structure backing
-	// the two-dimensional row-sum groups (the paper's B_c slot):
-	// "classic" (the default, the paper-exact Cumulative B Tree),
-	// "blocked" (flat cache-line b-ary tree) or "blockfenwick"
-	// (two-level blocked Fenwick). The backend is a rebuild-time choice:
-	// snapshots and WAL records are backend-agnostic, so any persisted
-	// cube loads under any backend.
+	// the two-dimensional row-sum groups (the paper's B_c slot). The
+	// default, "auto", is density-adaptive: every group starts as the
+	// classic tree and switches once, for good, to the blocked layout
+	// when half its universe holds keys, so dense cubes get the
+	// cache-line layout while sparse ones keep storage proportional to
+	// the data. The fixed choices are "classic" (the paper-exact
+	// Cumulative B Tree of Section 4.1), "blocked" (flat cache-line
+	// b-ary tree) and "blockfenwick" (two-level blocked Fenwick). The
+	// backend is a rebuild-time choice: snapshots and WAL records are
+	// backend-agnostic, so any persisted cube loads under any backend.
 	Backend string
 }
 
 // Backends returns the names of the available prefix-sum backends,
 // default first.
 func Backends() []string {
-	out := make([]string, 0, len(psum.Kinds()))
+	def, _ := psum.ParseKind("")
+	out := []string{string(def)}
 	for _, k := range psum.Kinds() {
-		out = append(out, string(k))
+		if k != def {
+			out = append(out, string(k))
+		}
 	}
 	return out
 }
@@ -401,7 +408,7 @@ func (c *DynamicCube) ForEachNonZeroInRangeUntil(lo, hi []int, fn func(p []int, 
 }
 
 // Options returns the cube's effective options. Backend is reported in
-// canonical form (the empty string resolves to "classic").
+// canonical form (the empty string resolves to the default, "auto").
 func (c *DynamicCube) Options() Options {
 	cfg := c.t.Config()
 	return Options{Tile: cfg.Tile, Fanout: cfg.Fanout, AutoGrow: cfg.AutoGrow, Backend: cfg.Backend}

@@ -7,7 +7,8 @@
 // queries and point updates (Theorems 1 and 2). The classic backend is
 // the paper-exact B_c tree of Section 4.1 (internal/bctree); the blocked
 // backends trade its pointer-linked sparsity for flat cache-line layouts
-// (Config.Backend selects one per tree).
+// (Config.Backend selects one per tree; the default, auto, picks classic
+// or blocked per group from the group's own density).
 //
 // Beyond the core structure the package implements the paper's
 // engineering extensions:
@@ -56,18 +57,22 @@ type Config struct {
 	// (Section 4.4).
 	Tile int
 	// Fanout is the B_c tree fanout used by two-dimensional groups.
-	// Only the classic backend honours it; the blocked layouts derive
-	// their branching from the cache line.
+	// Only the classic backend (and auto groups still in the classic
+	// layout) honours it; the blocked layouts derive their branching
+	// from the cache line.
 	Fanout int
 	// AutoGrow makes Add/Set on out-of-bounds coordinates grow the cube
 	// to include them (Section 5) instead of returning an error.
 	AutoGrow bool
 	// Backend names the prefix-sum structure occupying the B_c slot of
-	// every two-dimensional row-sum group (see internal/psum): "classic"
-	// (the paper-exact Cumulative B Tree, the default), "blocked" (flat
-	// cache-line b-ary tree) or "blockfenwick" (two-level blocked
-	// Fenwick). The choice is rebuild-time only — snapshots and WAL
-	// records are backend-agnostic.
+	// every two-dimensional row-sum group (see internal/psum): "auto"
+	// (the default — each group starts as classic and switches once to
+	// blocked when half its universe holds keys), "classic" (the
+	// paper-exact Cumulative B Tree), "blocked" (flat cache-line b-ary
+	// tree) or "blockfenwick" (two-level blocked Fenwick). withDefaults
+	// normalizes "" to psum.ParseKind's default. The choice is
+	// rebuild-time only — snapshots and WAL records are
+	// backend-agnostic.
 	Backend string
 }
 

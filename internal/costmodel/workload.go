@@ -8,6 +8,8 @@
 // heat — take measured inputs instead of assumptions.
 package costmodel
 
+import "ddc/internal/psum"
+
 // WorkloadProfile is an observed workload summary, shaped to be filled
 // directly from a workload snapshot (ddc.Telemetry.WorkloadProfile).
 type WorkloadProfile struct {
@@ -47,15 +49,16 @@ func (p WorkloadProfile) Empty() bool { return p.Total() == 0 }
 const writeHeavyThreshold = 1.0 / 3.0
 
 // RecommendBackend maps an observed profile onto a prefix-sum backend
-// for the B_c slot: an empty profile keeps the paper-exact default
-// ("classic"); a write-dominant mix (read fraction under 1/3) picks
+// for the B_c slot: an empty profile keeps the default (psum.ParseKind
+// of ""); a write-dominant mix (read fraction under 1/3) picks
 // "blockfenwick"; everything else picks "blocked", which won every
 // query tier of the backend matrix. The returned string is a canonical
 // psum kind name.
 func RecommendBackend(p WorkloadProfile) string {
 	switch {
 	case p.Empty():
-		return "classic"
+		def, _ := psum.ParseKind("")
+		return string(def)
 	case p.ReadFraction() < writeHeavyThreshold:
 		return "blockfenwick"
 	default:

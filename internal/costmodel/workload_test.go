@@ -20,7 +20,7 @@ func TestRecommendBackend(t *testing.T) {
 		want   string
 		reason string
 	}{
-		{"empty", WorkloadProfile{}, "classic", "no evidence keeps the paper-exact default"},
+		{"empty", WorkloadProfile{}, "auto", "no evidence keeps the default"},
 		{"read-heavy", WorkloadProfile{Reads: 90, Writes: 10}, "blocked", "queries dominate"},
 		{"balanced", WorkloadProfile{Reads: 50, Writes: 50}, "blocked", "blocked wins every query tier"},
 		{"write-heavy", WorkloadProfile{Reads: 10, Writes: 90}, "blockfenwick", "updates dominate"},

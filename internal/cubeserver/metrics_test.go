@@ -81,11 +81,11 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 
 	load(5)
 	first := scrapeMetrics(t, srv.URL)
-	if first[`ddc_updates_total{op="add",backend="classic"}`] != 5 {
-		t.Errorf("adds after first load = %v, want 5", first[`ddc_updates_total{op="add",backend="classic"}`])
+	if first[`ddc_updates_total{op="add",backend="auto"}`] != 5 {
+		t.Errorf("adds after first load = %v, want 5", first[`ddc_updates_total{op="add",backend="auto"}`])
 	}
-	if first[`ddc_queries_total{op="rangesum",backend="classic"}`] != 5 {
-		t.Errorf("range sums after first load = %v, want 5", first[`ddc_queries_total{op="rangesum",backend="classic"}`])
+	if first[`ddc_queries_total{op="rangesum",backend="auto"}`] != 5 {
+		t.Errorf("range sums after first load = %v, want 5", first[`ddc_queries_total{op="rangesum",backend="auto"}`])
 	}
 	if first["ddc_query_latency_ns_count"] != 5 {
 		t.Errorf("latency count = %v, want 5", first["ddc_query_latency_ns_count"])
@@ -96,7 +96,7 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 
 	load(10)
 	second := scrapeMetrics(t, srv.URL)
-	if got := second[`ddc_queries_total{op="rangesum",backend="classic"}`]; got != 15 {
+	if got := second[`ddc_queries_total{op="rangesum",backend="auto"}`]; got != 15 {
 		t.Errorf("range sums after second load = %v, want 15", got)
 	}
 	if second["ddc_query_node_visits_total"] <= first["ddc_query_node_visits_total"] {
@@ -284,8 +284,8 @@ func TestSumBatchEndpoint(t *testing.T) {
 
 	// Telemetry: 4 logical queries attributed, physical work once.
 	m := scrapeMetrics(t, srv.URL)
-	if got := m[`ddc_queries_total{op="rangesum_batch",backend="classic"}`]; got != 4 {
-		t.Errorf(`ddc_queries_total{op="rangesum_batch",backend="classic"} = %v, want 4`, got)
+	if got := m[`ddc_queries_total{op="rangesum_batch",backend="auto"}`]; got != 4 {
+		t.Errorf(`ddc_queries_total{op="rangesum_batch",backend="auto"} = %v, want 4`, got)
 	}
 	if got := m["ddc_batch_queries_total"]; got != 4 {
 		t.Errorf("ddc_batch_queries_total = %v, want 4", got)

@@ -37,13 +37,13 @@ func BulkAblation(w io.Writer) error {
 			_ = a.Set(p, r.Int63n(100))
 		})
 		start := time.Now()
-		bulk, err := core.BuildFromArray(a, core.Config{})
+		bulk, err := core.BuildFromArray(a, core.Config{Backend: paperBackend})
 		if err != nil {
 			return err
 		}
 		bulkMs := float64(time.Since(start).Microseconds()) / 1000
 		start = time.Now()
-		incr, err := core.FromArray(a, core.Config{})
+		incr, err := core.FromArray(a, core.Config{Backend: paperBackend})
 		if err != nil {
 			return err
 		}
@@ -74,7 +74,7 @@ func TileAblation(w io.Writer) error {
 		Headers: []string{"tile (2^h)", "elided levels h", "storage cells", "query cost", "update cost"},
 	}
 	for _, tile := range []int{1, 2, 4, 8, 16} {
-		ddc, err := core.NewWithConfig(dims2, core.Config{Tile: tile})
+		ddc, err := core.NewWithConfig(dims2, core.Config{Tile: tile, Backend: paperBackend})
 		if err != nil {
 			return err
 		}

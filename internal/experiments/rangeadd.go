@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"ddc/internal/core"
@@ -80,8 +81,12 @@ func rangeAddCostDim(w io.Writer, d, n int, sides []int) error {
 
 		// Lazy path: alternating +1/-1 keeps the pending list at one box,
 		// so each rep measures a single O(d) RangeAdd, not list growth.
+		// The previous side's per-cell loop leaves garbage; settle the
+		// collector first so its cycle does not land inside this
+		// sub-millisecond window and get timed as RangeAdd cost.
 		lazy.ResetOps()
 		const reps = 4000
+		runtime.GC()
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			delta := int64(1)
@@ -156,6 +161,7 @@ func remeasureLazy(t *core.Tree, sideA, sideB int) float64 {
 			hi[i] = lo[i] + side - 1
 		}
 		const reps = 20000
+		runtime.GC()
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			delta := int64(1)

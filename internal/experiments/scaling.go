@@ -25,6 +25,12 @@ func init() {
 	register("ablation-fenwick", "DDC vs d-dimensional Fenwick tree (novelty ablation)", FenwickAblation)
 }
 
+// paperBackend pins the measured-cost experiments in this file and in
+// ablation.go to the Section 4.1 B_c tree, so their tables keep
+// reporting the paper's structure rather than the density-adaptive
+// default. sec5sparse and rangeaddcost stay on the default.
+const paperBackend = "classic"
+
 // RangeCost measures how range-sum cost scales with the volume of the
 // queried box: the naive method sums every covered cell (Section 2's
 // O(n^d) query), while every prefix-based method pays only its
@@ -33,7 +39,7 @@ func RangeCost(w io.Writer) error {
 	const n = 512
 	dims2 := dims(2, n)
 	a := cube.MustNew(dims2...)
-	ddcT, err := core.NewWithConfig(dims2, core.Config{})
+	ddcT, err := core.NewWithConfig(dims2, core.Config{Backend: paperBackend})
 	if err != nil {
 		return err
 	}
@@ -103,7 +109,7 @@ func suts(d, n int, cellBudget int) []sut {
 		out = append(out, sut{"basic DDC", func(p grid.Point, v int64) { _ = basic.Add(p, v) },
 			basic.Prefix, basic.Ops, basic.ResetOps})
 	}
-	ddc, _ := core.NewWithConfig(dims(d, n), core.Config{Tile: 2})
+	ddc, _ := core.NewWithConfig(dims(d, n), core.Config{Tile: 2, Backend: paperBackend})
 	out = append(out, sut{"dynamic data cube", func(p grid.Point, v int64) { _ = ddc.Add(p, v) },
 		ddc.Prefix, ddc.Ops, ddc.ResetOps})
 	fw, _ := fenwick.New(dims(d, n))
@@ -206,7 +212,7 @@ func Theorem2(w io.Writer) error {
 		{3, 16, 400}, {3, 32, 800}, {3, 64, 1600},
 	}
 	for _, c := range cases {
-		ddc, err := core.NewWithConfig(dims(c.d, c.n), core.Config{Tile: 2})
+		ddc, err := core.NewWithConfig(dims(c.d, c.n), core.Config{Tile: 2, Backend: paperBackend})
 		if err != nil {
 			return err
 		}
@@ -278,7 +284,7 @@ func FenwickAblation(w io.Writer) error {
 	}
 	cases := []struct{ d, n int }{{2, 256}, {2, 1024}, {3, 32}, {4, 16}}
 	for _, c := range cases {
-		ddc, err := core.NewWithConfig(dims(c.d, c.n), core.Config{Tile: 2})
+		ddc, err := core.NewWithConfig(dims(c.d, c.n), core.Config{Tile: 2, Backend: paperBackend})
 		if err != nil {
 			return err
 		}

@@ -33,8 +33,7 @@ const (
 
 type blocked struct {
 	m      int       // universe (exclusive key bound)
-	arr    []int64   // single backing allocation for every level
-	levels [][]int64 // levels[0] covers the raw values; views into arr
+	levels [][]int64 // levels[0] covers the raw values; views into one allocation
 	total  int64
 }
 
@@ -53,14 +52,11 @@ func newBlocked(universe int) *blocked {
 	for _, s := range sizes {
 		cells += s
 	}
-	t := &blocked{
-		m:      universe,
-		arr:    make([]int64, cells),
-		levels: make([][]int64, len(sizes)),
-	}
+	arr := make([]int64, cells)
+	t := &blocked{m: universe, levels: make([][]int64, len(sizes))}
 	off := 0
 	for l, s := range sizes {
-		t.levels[l] = t.arr[off : off+s : off+s]
+		t.levels[l] = arr[off : off+s : off+s]
 		off += s
 	}
 	return t
@@ -70,29 +66,23 @@ func newBlocked(universe int) *blocked {
 // values.
 func blockedFromSlice(values []int64) *blocked {
 	t := newBlocked(len(values))
-	t.build(values)
+	copy(t.levels[0], values)
+	t.fold()
 	return t
 }
 
-// build recomputes every level (and the total) from the raw values —
-// the bulk-build and grow path. len(raw) may be shorter than the
-// universe; missing values are zero.
-func (t *blocked) build(raw []int64) {
+// fold turns level 0, freshly filled with raw values, into in-block
+// running prefixes in place and recomputes every upper level and the
+// total — one bottom-up pass with no intermediate slice, shared by the
+// bulk-build, grow and auto-promotion paths.
+func (t *blocked) fold() {
 	lvl0 := t.levels[0]
-	clear(t.arr)
 	var run int64
-	for j, v := range raw {
+	for j, v := range lvl0 {
 		if j&bbMask == 0 {
 			run = 0
 		}
 		run += v
-		lvl0[j] = run
-	}
-	// Zero suffix of the universe: in-block prefixes stay flat at run.
-	for j := len(raw); j < len(lvl0); j++ {
-		if j&bbMask == 0 {
-			run = 0
-		}
 		lvl0[j] = run
 	}
 	for l := 1; l < len(t.levels); l++ {
@@ -187,18 +177,19 @@ func (t *blocked) rawAt(key int) int64 {
 func (t *blocked) Total() int64  { return t.total }
 func (t *blocked) Universe() int { return t.m }
 
-// Grow rebuilds into a wider flat layout, recovering the raw values and
-// refolding every level — O(new universe).
+// Grow rebuilds into a wider flat layout, recovering the raw values
+// straight into the new level 0 and refolding every level — O(new
+// universe).
 func (t *blocked) Grow(newUniverse int) {
 	if newUniverse <= t.m {
 		return
 	}
-	raw := make([]int64, t.m)
-	for j := range raw {
+	nt := newBlocked(newUniverse)
+	raw := nt.levels[0]
+	for j := 0; j < t.m; j++ {
 		raw[j] = t.rawAt(j)
 	}
-	nt := newBlocked(newUniverse)
-	nt.build(raw)
+	nt.fold()
 	*t = *nt
 }
 
@@ -212,7 +203,13 @@ func (t *blocked) Len() int {
 	return n
 }
 
-func (t *blocked) StorageCells() int { return len(t.arr) }
+func (t *blocked) StorageCells() int {
+	cells := 0
+	for _, lvl := range t.levels {
+		cells += len(lvl)
+	}
+	return cells
+}
 
 func (t *blocked) ForEach(fn func(key int, value int64)) {
 	for j := range t.levels[0] {

@@ -4,8 +4,9 @@ import "ddc/internal/bctree"
 
 // classic adapts the paper-exact Cumulative B Tree (internal/bctree,
 // Section 4.1) to the Backend interface. It is sparse — absent keys
-// cost nothing — and remains the default: its storage is proportional
-// to the nonzero keys, where the flat layouts pay for the universe.
+// cost nothing — and is the paper-exact reference: its storage is
+// proportional to the nonzero keys, where the flat layouts pay for the
+// universe. The default (auto) starts every group in this layout.
 type classic struct {
 	tr *bctree.Tree
 	m  int // universe (advisory: the B-tree itself is unbounded)

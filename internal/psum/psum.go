@@ -4,7 +4,7 @@
 // through the Backend interface instead of hard-coding the classic
 // B-tree).
 //
-// Three backends implement the interface:
+// Four backends implement the interface:
 //
 //   - classic — the paper-exact Cumulative B Tree of Section 4.1
 //     (internal/bctree): sparse, pointer-linked, O(log k) with the
@@ -19,6 +19,10 @@
 //     16-wide blocks (two cache lines) with a Fenwick tree over the
 //     block totals, trading the b-ary tree's extra levels for one
 //     low-frequency Fenwick walk plus one bounded linear scan.
+//   - auto — the default: each group starts as classic and rebuilds
+//     itself once as blocked when its own density makes the flat layout
+//     the smaller one (auto.go), so dense cubes get the cache-line
+//     layout while sparse and clustered cubes keep the B-tree's storage.
 //
 // The backend is a rebuild-time choice, not a wire format: snapshots
 // and WAL records store raw cells, so any snapshot loads into any
@@ -34,28 +38,32 @@ import (
 // Kind names a prefix-sum backend implementation.
 type Kind string
 
-// The registered backends. Classic is the default and the paper-exact
-// reference; the others are the cache-optimized layouts benchmarked in
-// BENCH_pr6.json.
+// The registered backends. Classic is the paper-exact reference;
+// blocked and blockfenwick are the cache-optimized layouts benchmarked
+// in BENCH_pr6.json; Auto, the default, chooses between classic and
+// blocked per group from the group's density.
 const (
 	Classic      Kind = "classic"
 	Blocked      Kind = "blocked"
 	BlockFenwick Kind = "blockfenwick"
+	Auto         Kind = "auto"
 )
 
-// Kinds returns every registered backend kind, classic first.
-func Kinds() []Kind { return []Kind{Classic, Blocked, BlockFenwick} }
+// Kinds returns every registered backend kind in registration order,
+// classic first; the order fixes Index, so new kinds are appended.
+func Kinds() []Kind { return []Kind{Classic, Blocked, BlockFenwick, Auto} }
 
 // ParseKind normalizes a backend name; the empty string selects the
-// default (classic).
+// default (auto). ParseKind("") is the one source of the default's
+// name.
 func ParseKind(s string) (Kind, error) {
 	switch Kind(s) {
 	case "":
-		return Classic, nil
-	case Classic, Blocked, BlockFenwick:
+		return Auto, nil
+	case Classic, Blocked, BlockFenwick, Auto:
 		return Kind(s), nil
 	}
-	return "", fmt.Errorf("psum: unknown backend %q (have classic, blocked, blockfenwick)", s)
+	return "", fmt.Errorf("psum: unknown backend %q (have auto, classic, blocked, blockfenwick)", s)
 }
 
 // Index returns a dense stable index for a kind (classic = 0), for
@@ -116,7 +124,9 @@ type Backend interface {
 // kind: callers validate via ParseKind at configuration time.
 func New(kind Kind, universe, fanout int) Backend {
 	switch kind {
-	case Classic, "":
+	case Auto, "":
+		return newAuto(universe, fanout)
+	case Classic:
 		return newClassic(universe, fanout)
 	case Blocked:
 		return newBlocked(universe)
@@ -131,7 +141,9 @@ func New(kind Kind, universe, fanout int) Backend {
 // O(k) for the flat layouts — with no per-key update maintenance.
 func FromSlice(kind Kind, values []int64, fanout int) Backend {
 	switch kind {
-	case Classic, "":
+	case Auto, "":
+		return autoFromSlice(values, fanout)
+	case Classic:
 		return classicFromSlice(values, fanout)
 	case Blocked:
 		return blockedFromSlice(values)

@@ -211,7 +211,7 @@ func TestUnmarshalCorrupt(t *testing.T) {
 // TestParseKind covers the registry: canonical names, the default, and
 // rejection of unknowns.
 func TestParseKind(t *testing.T) {
-	if k, err := ParseKind(""); err != nil || k != Classic {
+	if k, err := ParseKind(""); err != nil || k != Auto {
 		t.Fatalf("ParseKind(\"\") = %v, %v", k, err)
 	}
 	for _, kind := range Kinds() {
@@ -330,4 +330,129 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// checkSame asserts b answers exactly like the classic reference ref:
+// every prefix (plus the out-of-range edges), point value, the total,
+// the nonzero count and the ForEach walk.
+func checkSame(t *testing.T, step string, b, ref Backend) {
+	t.Helper()
+	if b.Universe() != ref.Universe() || b.Total() != ref.Total() || b.Len() != ref.Len() {
+		t.Fatalf("%s: universe/total/len (%d,%d,%d), classic (%d,%d,%d)", step,
+			b.Universe(), b.Total(), b.Len(), ref.Universe(), ref.Total(), ref.Len())
+	}
+	for k := -1; k <= ref.Universe()+1; k++ {
+		if got, want := b.PrefixSum(k), ref.PrefixSum(k); got != want {
+			t.Fatalf("%s: PrefixSum(%d) = %d, classic %d", step, k, got, want)
+		}
+		if got, want := b.Get(k), ref.Get(k); got != want {
+			t.Fatalf("%s: Get(%d) = %d, classic %d", step, k, got, want)
+		}
+	}
+	type kv struct {
+		k int
+		v int64
+	}
+	var got, want []kv
+	b.ForEach(func(k int, v int64) { got = append(got, kv{k, v}) })
+	ref.ForEach(func(k int, v int64) { want = append(want, kv{k, v}) })
+	if len(got) != len(want) {
+		t.Fatalf("%s: ForEach yields %d pairs, classic %d", step, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: ForEach pair %d = %v, classic %v", step, i, got[i], want[i])
+		}
+	}
+}
+
+// TestAutoPromotion drives one auto group across its break-even — with
+// keys cancelled back to zero (the B-tree still stores them, so they
+// count toward promotion), positive and negative deltas, and a Grow on
+// each side of the switch — checking it against the classic reference
+// after every step and that it promotes exactly once, on the Add that
+// makes the stored key count reach half the universe.
+func TestAutoPromotion(t *testing.T) {
+	const fanout = 4
+	a := New(Auto, 64, fanout).(*auto)
+	ref := New(Classic, 64, fanout)
+	var flat *blocked
+	promotions := 0
+	add := func(step string, k int, d int64) {
+		t.Helper()
+		wasFlat := a.bl != nil
+		a.Add(k, d)
+		ref.Add(k, d)
+		// The reference B-tree saw the same Adds, so it stores the same
+		// keys the auto group's tree would.
+		stored := ref.(*classic).tr.Len()
+		switch {
+		case !wasFlat && a.bl != nil:
+			promotions++
+			if want := (a.Universe() + 1) / 2; stored != want {
+				t.Fatalf("%s: promoted at %d stored keys, want %d", step, stored, want)
+			}
+			flat = a.bl
+		case !wasFlat && dense(stored, a.Universe()):
+			t.Fatalf("%s: %d stored keys of %d and not promoted", step, stored, a.Universe())
+		case wasFlat && a.bl != flat:
+			t.Fatalf("%s: flat layout replaced after promotion", step)
+		}
+		checkSame(t, step, a, ref)
+	}
+	grow := func(step string, m int) {
+		t.Helper()
+		a.Grow(m)
+		ref.Grow(m)
+		checkSame(t, step, a, ref)
+	}
+
+	// 20 keys, every third cancelled back to zero: stored 20, nonzero 13.
+	for k := 0; k < 20; k++ {
+		add("fill", k*3, int64(k+1)*(1-2*int64(k&1)))
+		if k%3 == 0 {
+			add("cancel", k*3, -ref.Get(k*3))
+		}
+	}
+	if a.bl != nil {
+		t.Fatal("promoted below the break-even")
+	}
+	grow("grow before", 80) // break-even moves from 32 to 40 stored keys
+	for k := 1; a.bl == nil; k += 3 {
+		add("cross", k, -int64(k))
+	}
+	if a.Len() >= 40 {
+		t.Fatalf("cancelled keys did not count toward promotion: nonzero %d", a.Len())
+	}
+	for k := 0; k < 80; k += 7 {
+		add("after", k, int64(k)-40)
+		add("cancel after", k, -ref.Get(k))
+	}
+	grow("grow after", 150)
+	for k := 79; k < 150; k += 5 {
+		add("after grow", k, int64(k))
+	}
+	if promotions != 1 {
+		t.Fatalf("promoted %d times, want exactly once", promotions)
+	}
+}
+
+// TestAutoFromSlice checks the bulk-build path picks the layout from
+// the slice's nonzero count: one key short of the break-even stays
+// classic, the break-even itself builds flat.
+func TestAutoFromSlice(t *testing.T) {
+	for _, m := range []int{1, 2, 7, 8, 9, 64, 65, 513} {
+		breakEven := (m + 1) / 2
+		for _, nonzero := range []int{breakEven - 1, breakEven} {
+			vals := make([]int64, m)
+			for i := 0; i < nonzero; i++ {
+				vals[m-1-2*i] = int64(i + 1)
+			}
+			a := FromSlice(Auto, vals, 8).(*auto)
+			if (a.bl != nil) != (nonzero == breakEven) {
+				t.Fatalf("m=%d nonzero=%d: promoted=%v", m, nonzero, a.bl != nil)
+			}
+			checkSame(t, "fromslice", a, FromSlice(Classic, vals, 8))
+		}
+	}
 }

@@ -6,7 +6,8 @@
 # benchmark (DESIGN.md §8: the disabled fast path must stay within 2%
 # of pre-telemetry ns/op), the batch-equivalence property tier and the
 # batched-query bench smoke (DESIGN.md §10), and the mixed-workload
-# tier for the buffered write front (DESIGN.md §15).
+# tier for the buffered write front (DESIGN.md §15), and the end-to-end
+# benchmark module's own checks plus one answer-checked smoke run.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -88,3 +89,10 @@ go test -run FuzzRangeAdd -count=1 .
 # at most 1.5x (full suite writes BENCH_pr10.json).
 go test -race -run 'Buffered|StoreBuffered|DeltaDrain' -count=1 . ./internal/store ./internal/cubeserver
 /tmp/ddcbench_smoke -mixed /tmp/ddc_mixed_smoke.json -smoke
+# Benchmark module (perfbench/, a nested Go module outside ./...): vet
+# and its own tests (same seed, same stream; transparent timing seams),
+# then one short olap-read run — run.py replays every answer on a
+# Fenwick reference and exits nonzero on any mismatch. No timing bound
+# is checked here.
+(cd perfbench && go vet ./... && go test ./...)
+python3 perfbench/run.py --workload olap-read --seed 1 --seconds 1 --trace 0

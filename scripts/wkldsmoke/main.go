@@ -25,7 +25,7 @@ import (
 	"time"
 )
 
-var backends = []string{"classic", "blocked", "blockfenwick"}
+var backends = []string{"auto", "classic", "blocked", "blockfenwick"}
 
 func main() {
 	server := flag.String("server", "", "path to a built ddcserver binary")

@@ -244,8 +244,8 @@ func TestTelemetryWritePrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`ddc_queries_total{op="prefix",backend="classic"} 1`,
-		`ddc_updates_total{op="add",backend="classic"} 1`,
+		`ddc_queries_total{op="prefix",backend="auto"} 1`,
+		`ddc_updates_total{op="add",backend="auto"} 1`,
 		"# TYPE ddc_queries_total counter",
 		"# TYPE ddc_query_latency_ns summary",
 		`ddc_query_latency_ns{quantile="0.99"}`,
