@@ -250,6 +250,44 @@ func TestDenseDefaultCubeHeap(t *testing.T) {
 	}
 }
 
+// sparseHeapBudget caps the live heap of the sec5sparse cube per
+// nonzero cell: the layout before the flat row-sum groups measured
+// 1151 B per cell (4.52 MB for 3923 cells, amd64), and the budget
+// allows 5% on top of that.
+const sparseHeapBudget = 1151 * 105 / 100
+
+// TestSparseCubeHeap guards Section 5's "storage proportional to the
+// data" in live bytes, not just counted cells: the sec5sparse shape (a
+// 16384x16384 domain holding about 4000 clustered points) under the
+// default backend must stay within sparseHeapBudget bytes per nonzero
+// cell.
+func TestSparseCubeHeap(t *testing.T) {
+	const side = 1 << 14
+	dims := []int{side, side}
+	ups := workload.Clustered(workload.NewRNG(99), dims, 12, 4000, 25, 50)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := NewDynamic(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range ups {
+		if err := c.Add(u.Point, u.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	cells := int64(c.NonZeroCells())
+	t.Logf("live heap %d B for %d nonzero cells (%d B/cell, budget %d)", live, cells, live/cells, sparseHeapBudget)
+	if live > sparseHeapBudget*cells {
+		t.Fatalf("sparse cube holds %d B live for %d nonzero cells: over %d B/cell", live, cells, sparseHeapBudget)
+	}
+}
+
 // seqVals returns 0,1,2,... — a dense bulk-load payload.
 func seqVals(n int) []int64 {
 	vals := make([]int64, n)

@@ -155,26 +155,55 @@ func BenchmarkUpdate(b *testing.B) {
 }
 
 // BenchmarkRangeQuery measures one range-sum query per iteration for
-// every method on a 256x256 cube — the right half of the trade-off.
+// every method on a sparse 256x256 cube — the right half of the
+// trade-off — and, as dense1024, for the DDC on a fully populated
+// 1024x1024 cube whose row-sum groups use the flat layout.
 func BenchmarkRangeQuery(b *testing.B) {
 	dims := []int{256, 256}
 	for _, m := range benchMethods() {
 		b.Run(m.name, func(b *testing.B) {
 			c, _, qs := loadedCube(b, m, dims, 2000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sink int64
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				v, err := c.RangeSum(q.Lo, q.Hi)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink += v
-			}
-			_ = sink
+			benchRangeSums(b, c, qs)
 		})
 	}
+	b.Run("dense1024", func(b *testing.B) {
+		const side = 1024
+		r := workload.NewRNG(12345)
+		vals := make([]int64, side*side)
+		for i := range vals {
+			vals[i] = 1 + r.Int63n(100)
+		}
+		c, err := BuildDynamic([]int{side, side}, vals, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs := make([]workload.Query, 4096)
+		for i := range qs {
+			lo, hi := make([]int, 2), make([]int, 2)
+			for j := range lo {
+				lo[j] = r.Intn(side)
+				hi[j] = min(side-1, lo[j]+r.Intn(512))
+			}
+			qs[i] = workload.Query{Lo: lo, Hi: hi}
+		}
+		benchRangeSums(b, c, qs)
+	})
+}
+
+// benchRangeSums runs one range-sum query per iteration, cycling qs.
+func benchRangeSums(b *testing.B, c Cube, qs []workload.Query) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int64
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		v, err := c.RangeSum(q.Lo, q.Hi)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink += v
+	}
+	_ = sink
 }
 
 // BenchmarkDDCByDimension measures the DDC's update cost as d grows at a

@@ -211,8 +211,8 @@ func (t *Tree) buildGroupsFromDense(k int, gs [][]int64) []group {
 	case t.d == 2:
 		kind := psum.Kind(t.cfg.Backend)
 		return []group{
-			&psGroup{b: psum.FromSlice(kind, gs[0], t.cfg.Fanout)},
-			&psGroup{b: psum.FromSlice(kind, gs[1], t.cfg.Fanout)},
+			{ps: psum.FromSlice(kind, gs[0], t.cfg.Fanout)},
+			{ps: psum.FromSlice(kind, gs[1], t.cfg.Fanout)},
 		}
 	default:
 		dims := make([]int, t.d-1)
@@ -229,7 +229,7 @@ func (t *Tree) buildGroupsFromDense(k int, gs [][]int64) []group {
 			// every nested group observes the same counter.
 			nested := newNested(dims, t.cfg, t.ops)
 			nested.root = nested.buildRec(ga, make(grid.Point, nested.d), nested.n)
-			out[j] = &ddcGroup{tr: nested}
+			out[j].tr = nested
 		}
 		return out
 	}

@@ -24,8 +24,8 @@ func (t *Tree) makeGroups(k int) []group {
 	case t.d == 2:
 		kind := psum.Kind(t.cfg.Backend)
 		return []group{
-			&psGroup{b: psum.New(kind, k, t.cfg.Fanout)},
-			&psGroup{b: psum.New(kind, k, t.cfg.Fanout)},
+			{ps: psum.New(kind, k, t.cfg.Fanout)},
+			{ps: psum.New(kind, k, t.cfg.Fanout)},
 		}
 	default:
 		gs := make([]group, t.d)
@@ -33,49 +33,40 @@ func (t *Tree) makeGroups(k int) []group {
 		for i := range dims {
 			dims[i] = k
 		}
-		for j := 0; j < t.d; j++ {
-			gs[j] = &ddcGroup{tr: newNested(dims, t.cfg, t.ops)}
+		for j := range gs {
+			gs[j].tr = newNested(dims, t.cfg, t.ops)
 		}
 		return gs
 	}
 }
 
-// psGroup stores a one-dimensional set of row sums in a pluggable
-// prefix-sum backend (the B_c slot). Operation counts flow through the
-// caller's per-call counter, so prefix leaves both the backend and any
-// shared counter untouched — concurrent readers never write shared
-// state.
-type psGroup struct {
-	b psum.Backend
-}
-
-func (g *psGroup) prefix(l []int, ops *cube.OpCounter) int64 {
-	v, visits := g.b.PrefixSumVisits(l[0])
-	ops.QueryCells += visits
-	return v
-}
-
-func (g *psGroup) add(l []int, delta int64, ops *cube.OpCounter) {
-	ops.UpdateCells += g.b.Add(l[0], delta)
-}
-
-func (g *psGroup) storageCells() int { return g.b.StorageCells() }
-
-// ddcGroup stores a (d-1)-dimensional set of row sums in a nested
-// Dynamic Data Cube that shares the parent's operation counter.
-type ddcGroup struct {
-	tr *Tree
-}
-
-func (g *ddcGroup) prefix(l []int, ops *cube.OpCounter) int64 {
+// prefix returns the group's prefix sum at l. Operation counts flow
+// through the caller's per-call counter, so prefix leaves both the store
+// and any shared counter untouched — concurrent readers never write
+// shared state.
+func (g *group) prefix(l []int, ops *cube.OpCounter) int64 {
+	if g.ps != nil {
+		v, visits := g.ps.PrefixSumVisits(l[0])
+		ops.QueryCells += visits
+		return v
+	}
 	return g.tr.prefixWithOps(grid.Point(l), ops)
 }
 
-func (g *ddcGroup) add(l []int, delta int64, ops *cube.OpCounter) {
+func (g *group) add(l []int, delta int64, ops *cube.OpCounter) {
+	if g.ps != nil {
+		ops.UpdateCells += g.ps.Add(l[0], delta)
+		return
+	}
 	// Row-sum coordinates are generated internally and always in range.
 	if err := g.tr.addWithOps(grid.Point(l), delta, ops); err != nil {
 		panic(err)
 	}
 }
 
-func (g *ddcGroup) storageCells() int { return g.tr.StorageCells() }
+func (g *group) storageCells() int {
+	if g.ps != nil {
+		return g.ps.StorageCells()
+	}
+	return g.tr.StorageCells()
+}

@@ -8,7 +8,10 @@
 // the paper-exact B_c tree of Section 4.1 (internal/bctree); the blocked
 // backends trade its pointer-linked sparsity for flat cache-line layouts
 // (Config.Backend selects one per tree; the default, auto, picks classic
-// or blocked per group from the group's own density).
+// or blocked per group from the group's own density). A box stores its
+// d groups by value, each holding either the backend or the nested
+// cube, so the two-dimensional read that dominates a query goes from
+// the box to the backend with no adapter in between.
 //
 // Beyond the core structure the package implements the paper's
 // engineering extensions:
@@ -184,13 +187,17 @@ type box struct {
 }
 
 // group stores one (d-1)-dimensional set of row sums G_j and answers its
-// prefix sums — the recursive storage of Section 4.2. Operation counts
-// flow through the caller's per-call counter (ops) so reads write no
-// shared state and whole operations merge their counts exactly once.
-type group interface {
-	prefix(l []int, ops *cube.OpCounter) int64
-	add(l []int, delta int64, ops *cube.OpCounter)
-	storageCells() int
+// prefix sums — the recursive storage of Section 4.2. Exactly one field
+// is set: ps, the one-dimensional prefix-sum backend in the B_c slot,
+// when d = 2, and tr, a nested (d-1)-dimensional cube sharing the
+// parent's operation counter, when d > 2. Groups are stored by value in
+// box.groups, so a d = 2 row-sum read goes from the box straight to the
+// backend. Operation counts flow through the caller's per-call counter
+// so reads write no shared state and whole operations merge their
+// counts exactly once.
+type group struct {
+	ps psum.Backend
+	tr *Tree
 }
 
 // New returns an empty Dynamic Data Cube with a fixed logical domain

@@ -1,5 +1,7 @@
 package psum
 
+import "ddc/internal/bctree"
+
 // auto is the density-adaptive default backend. A group starts as the
 // sparse classic B_c tree — storage proportional to its nonzero keys,
 // the Section 5 property clustered cubes rely on — and rebuilds itself
@@ -8,12 +10,15 @@ package psum
 // group stays flat even if values later cancel back to zero.
 //
 // The switch happens inside Add, which already requires exclusive
-// access, so readers need no extra synchronisation. The classic phase
-// is held by value, so a sparse group makes the same allocations as a
-// classic one and is one pointer wider.
+// access, so readers need no extra synchronisation.
+//
+// The dense phase is held inline, so a read of a promoted group goes
+// from the auto value straight to its cells. Every sparse group pays
+// for the inline fields, so the struct keeps one universe (bl.m) for
+// both phases and nothing else: 40 bytes, the 48-byte size class.
 type auto struct {
-	cl classic  // sparse phase; zeroed once promoted
-	bl *blocked // dense phase; nil until promoted
+	tr *bctree.Tree // sparse phase; nil once promoted
+	bl blocked      // dense phase; bl.cells is nil until promoted
 }
 
 // autoDenseShift sets the break-even: a group promotes once its stored
@@ -21,26 +26,25 @@ type auto struct {
 // rounded up).
 //
 // The threshold is set on live bytes, not cells. Measured with
-// runtime.MemStats over 2000 groups (fanout 16, random keys, amd64),
-// bytes per group:
+// runtime.MemStats over 2000 auto groups in each phase (fanout 16,
+// random keys, amd64), bytes per group, the 48-byte auto struct
+// included:
 //
-//	universe  keys  classic (Adds)  classic (bulk)  blocked
-//	    16       8          288             285        288
-//	    32      16          416             413        448
-//	    64      32         1557             941        768
-//	   256     128         5304            3293       2832
-//	  1024     256        10992            6429       9648
-//	  1024     512        21342           12973       9648
+//	universe  keys  sparse (Adds)  sparse (bulk)  flat
+//	    16       8          301            320     208
+//	    32      16          448            448     368
+//	    64      32         1593            976     688
+//	   256     128         5343           3328    2736
+//	  1024     256        11031           6464    9520
+//	  1024     512        21337          13008    9520
 //
-// A classic group costs about 41 bytes per key when built by Adds and
-// 25 when bulk-built; blocked costs about 9.4 bytes per universe slot
-// (8/7 int64 cells plus headers). At a quarter of the universe a
-// bulk-built B-tree is still the smaller; at half, blocked is 18-55%
-// smaller from 64 slots up. Below that a B-tree of one or two leaves
-// and a flat layout of a few cache lines are within 32 bytes of each
-// other, and promoting there too keeps one rule. StorageCells counts
-// only int64 cells — it omits the B-tree's keys and pointers — so a
-// promoted group may report more cells while holding fewer bytes.
+// A sparse group costs about 41 bytes per key when built by Adds and
+// 25 when bulk-built; a flat one about 9.3 bytes per universe slot
+// (8/7 int64 cells). At a quarter of the universe a bulk-built B-tree
+// is still the smaller; at half, the flat layout is 18-57% smaller at
+// every universe measured. StorageCells counts only int64 cells — it
+// omits the B-tree's keys and pointers — so a promoted group may
+// report more cells while holding fewer bytes.
 const autoDenseShift = 1
 
 // dense reports whether keys stored keys justify the flat layout over
@@ -50,7 +54,11 @@ func dense(keys, universe int) bool {
 }
 
 func newAuto(universe, fanout int) *auto {
-	return &auto{cl: *newClassic(universe, fanout)}
+	return sparseAuto(newClassic(universe, fanout))
+}
+
+func sparseAuto(c classic) *auto {
+	return &auto{tr: c.tr, bl: blocked{m: c.m}}
 }
 
 // autoFromSlice picks the layout directly from the slice's nonzero
@@ -66,17 +74,19 @@ func autoFromSlice(values []int64, fanout int) *auto {
 	if dense(nonzero, len(values)) {
 		return &auto{bl: blockedFromSlice(values)}
 	}
-	return &auto{cl: *classicFromSlice(values, fanout)}
+	return sparseAuto(classicFromSlice(values, fanout))
 }
+
+// sparse views the sparse phase as the classic backend it is.
+func (a *auto) sparse() *classic { return &classic{tr: a.tr, m: a.bl.m} }
 
 // promote rebuilds the group as blocked in one pass straight from the
 // B-tree leaves into the flat level 0 — no universe-sized scratch.
 func (a *auto) promote() {
-	b := newBlocked(a.cl.m)
-	raw := b.levels[0]
-	a.cl.tr.ForEach(func(k int, v int64) { raw[k] = v })
+	b := makeBlocked(a.bl.m)
+	a.tr.ForEach(func(k int, v int64) { b.cells[k] = v })
 	b.fold()
-	a.cl, a.bl = classic{}, b
+	a.tr, a.bl = nil, b
 }
 
 func (a *auto) PrefixSum(key int) int64 {
@@ -85,24 +95,24 @@ func (a *auto) PrefixSum(key int) int64 {
 }
 
 func (a *auto) PrefixSumVisits(key int) (int64, uint64) {
-	if a.bl != nil {
+	if a.tr == nil {
 		return a.bl.PrefixSumVisits(key)
 	}
-	return a.cl.tr.PrefixSumVisits(key)
+	return a.tr.PrefixSumVisits(key)
 }
 
 // Add ignores keys outside the universe, as blocked does, so the kind
 // behaves the same on either side of promotion. The promoting Add
 // reports the rebuild's cell writes on top of its own.
 func (a *auto) Add(key int, delta int64) uint64 {
-	if a.bl != nil {
+	if a.tr == nil {
 		return a.bl.Add(key, delta)
 	}
-	if key < 0 || key >= a.cl.m {
+	if key < 0 || key >= a.bl.m {
 		return 0
 	}
-	w := a.cl.Add(key, delta)
-	if dense(a.cl.tr.Len(), a.cl.m) {
+	w := a.sparse().Add(key, delta)
+	if dense(a.tr.Len(), a.bl.m) {
 		a.promote()
 		w += uint64(a.bl.StorageCells())
 	}
@@ -110,56 +120,51 @@ func (a *auto) Add(key int, delta int64) uint64 {
 }
 
 func (a *auto) Get(key int) int64 {
-	if a.bl != nil {
+	if a.tr == nil {
 		return a.bl.Get(key)
 	}
-	return a.cl.Get(key)
+	return a.tr.Get(key)
 }
 
 func (a *auto) Total() int64 {
-	if a.bl != nil {
+	if a.tr == nil {
 		return a.bl.Total()
 	}
-	return a.cl.Total()
+	return a.tr.Total()
 }
 
-func (a *auto) Universe() int {
-	if a.bl != nil {
-		return a.bl.Universe()
-	}
-	return a.cl.Universe()
-}
+func (a *auto) Universe() int { return a.bl.m }
 
 // Grow keeps the current layout; a sparse group re-checks its density
 // at its next Add.
 func (a *auto) Grow(newUniverse int) {
-	if a.bl != nil {
+	if a.tr == nil {
 		a.bl.Grow(newUniverse)
 		return
 	}
-	a.cl.Grow(newUniverse)
+	a.bl.m = max(a.bl.m, newUniverse)
 }
 
 func (a *auto) Len() int {
-	if a.bl != nil {
+	if a.tr == nil {
 		return a.bl.Len()
 	}
-	return a.cl.Len()
+	return a.sparse().Len()
 }
 
 func (a *auto) StorageCells() int {
-	if a.bl != nil {
+	if a.tr == nil {
 		return a.bl.StorageCells()
 	}
-	return a.cl.StorageCells()
+	return a.tr.StorageCells()
 }
 
 func (a *auto) ForEach(fn func(key int, value int64)) {
-	if a.bl != nil {
+	if a.tr == nil {
 		a.bl.ForEach(fn)
 		return
 	}
-	a.cl.ForEach(fn)
+	a.sparse().ForEach(fn)
 }
 
 func (a *auto) Kind() Kind { return Auto }

@@ -2,22 +2,24 @@ package psum
 
 // blocked is a flat-array blocked b-ary tree with branching factor 8:
 // every node is exactly one 64-byte cache line of int64 cells, all
-// levels live in one backing slice, and both query and update use pure
-// shift/mask index arithmetic — no pointers, no searches, no branches
-// on data. This is the "bottom-up blocked" layout family of Pibiri &
-// Venturini (arXiv:2006.14552) specialized to b = 8, with running
-// prefixes stored inside each block.
+// levels lie back to back in one slice (level 0 first), and both query
+// and update find each level's offset and size by shift arithmetic —
+// no per-level headers, no pointers, no searches, no branches on data.
+// This is the "bottom-up blocked" layout family of Pibiri & Venturini
+// (arXiv:2006.14552) specialized to b = 8, with running prefixes stored
+// inside each block.
 //
 // Every 8-cell block holds the running prefix sums of its underlying
 // values, not the values themselves. Level 0's underlying values are
 // the raw keys; level l+1's underlying value j is the total of level
 // l's block j (its last in-block prefix). Levels shrink by 8x until a
-// single cell remains, so the total footprint is < 8/7 of the universe.
+// single cell remains — the total, so no separate field holds it — and
+// the whole footprint is < 8/7 of the universe.
 //
 //	PrefixSum(key): let i = key+1 (the count of covered cells). At
 //	each level the partial block contributes one precomputed in-block
-//	prefix — a single load — and the complete blocks recurse one level
-//	up on i >>= 3. O(log8 k) loads, one cache line each.
+//	prefix — the single cell i-1 — and the complete blocks recurse one
+//	level up on i >>= 3. O(log8 k) loads, one cache line each.
 //
 //	Add(key): at each level, add delta to the containing block's
 //	in-block prefixes from the key's offset to the block end — at most
@@ -31,62 +33,57 @@ const (
 	bbMask  = 1<<bbShift - 1 // within-block index mask
 )
 
+// blocked is held by value inside auto, so an auto group reaches its
+// cells through one slice header with no pointer in between.
 type blocked struct {
-	m      int       // universe (exclusive key bound)
-	levels [][]int64 // levels[0] covers the raw values; views into one allocation
-	total  int64
+	m     int     // universe (exclusive key bound); level 0's size
+	cells []int64 // every level back to back, level 0 first
 }
 
-// newBlocked returns an all-zero blocked tree over [0, universe).
-func newBlocked(universe int) *blocked {
+// makeBlocked returns an all-zero layout over [0, universe).
+func makeBlocked(universe int) blocked {
 	if universe < 1 {
 		universe = 1
 	}
-	// Level sizes shrink by 8x down to a single top cell.
-	sizes := []int{universe}
-	for last := universe; last > 1; {
-		last = (last + bbMask) >> bbShift
-		sizes = append(sizes, last)
+	n := universe
+	for size := universe; size > 1; {
+		size = nextLevel(size)
+		n += size
 	}
-	cells := 0
-	for _, s := range sizes {
-		cells += s
-	}
-	arr := make([]int64, cells)
-	t := &blocked{m: universe, levels: make([][]int64, len(sizes))}
-	off := 0
-	for l, s := range sizes {
-		t.levels[l] = arr[off : off+s : off+s]
-		off += s
-	}
-	return t
+	return blocked{m: universe, cells: make([]int64, n)}
 }
+
+// nextLevel returns the size of the level above one of the given size:
+// one cell per (possibly partial) 8-cell block.
+func nextLevel(size int) int { return (size + bbMask) >> bbShift }
 
 // blockedFromSlice bulk-builds in one bottom-up pass over the raw
 // values.
-func blockedFromSlice(values []int64) *blocked {
-	t := newBlocked(len(values))
-	copy(t.levels[0], values)
+func blockedFromSlice(values []int64) blocked {
+	t := makeBlocked(len(values))
+	copy(t.cells, values)
 	t.fold()
 	return t
 }
 
 // fold turns level 0, freshly filled with raw values, into in-block
-// running prefixes in place and recomputes every upper level and the
-// total — one bottom-up pass with no intermediate slice, shared by the
-// bulk-build, grow and auto-promotion paths.
+// running prefixes in place and recomputes every upper level — one
+// bottom-up pass with no intermediate slice, shared by the bulk-build,
+// grow and auto-promotion paths.
 func (t *blocked) fold() {
-	lvl0 := t.levels[0]
+	lvl := t.cells[:t.m]
 	var run int64
-	for j, v := range lvl0 {
+	for j, v := range lvl {
 		if j&bbMask == 0 {
 			run = 0
 		}
 		run += v
-		lvl0[j] = run
+		lvl[j] = run
 	}
-	for l := 1; l < len(t.levels); l++ {
-		prev, lvl := t.levels[l-1], t.levels[l]
+	for off := 0; len(lvl) > 1; {
+		prev := lvl
+		off += len(prev)
+		lvl = t.cells[off : off+nextLevel(len(prev))]
 		var run int64
 		for j := range lvl {
 			if j&bbMask == 0 {
@@ -94,16 +91,10 @@ func (t *blocked) fold() {
 			}
 			// Underlying value j is block j's total: its last in-block
 			// prefix.
-			last := j<<bbShift | bbMask
-			if last >= len(prev) {
-				last = len(prev) - 1
-			}
-			run += prev[last]
+			run += prev[min(j<<bbShift|bbMask, len(prev)-1)]
 			lvl[j] = run
 		}
 	}
-	top := t.levels[len(t.levels)-1]
-	t.total = top[len(top)-1]
 }
 
 func (t *blocked) PrefixSum(key int) int64 {
@@ -116,19 +107,19 @@ func (t *blocked) PrefixSumVisits(key int) (int64, uint64) {
 		return 0, 0
 	}
 	if key >= t.m {
-		return t.total, 1
+		return t.Total(), 1
 	}
 	var s int64
 	var visits uint64
-	i := key + 1
-	for l := 0; i > 0; l++ {
-		// The i&7 leading cells of the block containing i contribute one
-		// precomputed in-block prefix; i&7 == 0 contributes nothing.
-		if o := i & bbMask; o != 0 {
-			s += t.levels[l][i&^bbMask|(o-1)]
+	for i, off, size := key+1, 0, t.m; i > 0; i >>= bbShift {
+		// The i&7 leading cells of the block containing i contribute
+		// their in-block prefix, cell i-1; i&7 == 0 contributes nothing.
+		if i&bbMask != 0 {
+			s += t.cells[off+i-1]
 			visits++
 		}
-		i >>= bbShift
+		off += size
+		size = nextLevel(size)
 	}
 	return s, visits
 }
@@ -137,25 +128,22 @@ func (t *blocked) Add(key int, delta int64) uint64 {
 	if key < 0 || key >= t.m || delta == 0 {
 		return 0
 	}
-	t.total += delta
 	var writes uint64
-	i := key
-	for l := range t.levels {
-		lvl := t.levels[l]
+	for i, off, size := key, 0, t.m; ; i >>= bbShift {
 		// The containing block's in-block prefixes from the key's offset
 		// to the block end all cover the key: a contiguous suffix write
 		// inside one cache line.
-		end := i&^bbMask + bbMask + 1
-		if end > len(lvl) {
-			end = len(lvl)
-		}
+		end := min((i|bbMask)+1, size)
 		writes += uint64(end - i)
-		for j := i; j < end; j++ {
-			lvl[j] += delta
+		for j := off + i; j < off+end; j++ {
+			t.cells[j] += delta
 		}
-		i >>= bbShift
+		if size == 1 {
+			return writes
+		}
+		off += size
+		size = nextLevel(size)
 	}
-	return writes
 }
 
 func (t *blocked) Get(key int) int64 {
@@ -167,14 +155,15 @@ func (t *blocked) Get(key int) int64 {
 
 // rawAt recovers a raw value from the level-0 in-block prefixes.
 func (t *blocked) rawAt(key int) int64 {
-	v := t.levels[0][key]
+	v := t.cells[key]
 	if key&bbMask != 0 {
-		v -= t.levels[0][key-1]
+		v -= t.cells[key-1]
 	}
 	return v
 }
 
-func (t *blocked) Total() int64  { return t.total }
+// Total reads the top level's single cell.
+func (t *blocked) Total() int64  { return t.cells[len(t.cells)-1] }
 func (t *blocked) Universe() int { return t.m }
 
 // Grow rebuilds into a wider flat layout, recovering the raw values
@@ -184,18 +173,17 @@ func (t *blocked) Grow(newUniverse int) {
 	if newUniverse <= t.m {
 		return
 	}
-	nt := newBlocked(newUniverse)
-	raw := nt.levels[0]
+	nt := makeBlocked(newUniverse)
 	for j := 0; j < t.m; j++ {
-		raw[j] = t.rawAt(j)
+		nt.cells[j] = t.rawAt(j)
 	}
 	nt.fold()
-	*t = *nt
+	*t = nt
 }
 
 func (t *blocked) Len() int {
 	n := 0
-	for j := range t.levels[0] {
+	for j := 0; j < t.m; j++ {
 		if t.rawAt(j) != 0 {
 			n++
 		}
@@ -203,16 +191,10 @@ func (t *blocked) Len() int {
 	return n
 }
 
-func (t *blocked) StorageCells() int {
-	cells := 0
-	for _, lvl := range t.levels {
-		cells += len(lvl)
-	}
-	return cells
-}
+func (t *blocked) StorageCells() int { return len(t.cells) }
 
 func (t *blocked) ForEach(fn func(key int, value int64)) {
-	for j := range t.levels[0] {
+	for j := 0; j < t.m; j++ {
 		if v := t.rawAt(j); v != 0 {
 			fn(j, v)
 		}

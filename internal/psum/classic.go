@@ -12,17 +12,17 @@ type classic struct {
 	m  int // universe (advisory: the B-tree itself is unbounded)
 }
 
-func newClassic(universe, fanout int) *classic {
+func newClassic(universe, fanout int) classic {
 	if fanout == 0 {
 		fanout = bctree.DefaultFanout
 	}
 	if universe < 1 {
 		universe = 1 // match the flat layouts' minimum key space
 	}
-	return &classic{tr: bctree.NewWithFanout(fanout), m: universe}
+	return classic{tr: bctree.NewWithFanout(fanout), m: universe}
 }
 
-func classicFromSlice(values []int64, fanout int) *classic {
+func classicFromSlice(values []int64, fanout int) classic {
 	if fanout == 0 {
 		fanout = bctree.DefaultFanout
 	}
@@ -30,7 +30,7 @@ func classicFromSlice(values []int64, fanout int) *classic {
 	if m < 1 {
 		m = 1
 	}
-	return &classic{tr: bctree.FromSlice(values, fanout), m: m}
+	return classic{tr: bctree.FromSlice(values, fanout), m: m}
 }
 
 func (c *classic) PrefixSum(key int) int64 {

@@ -127,9 +127,11 @@ func New(kind Kind, universe, fanout int) Backend {
 	case Auto, "":
 		return newAuto(universe, fanout)
 	case Classic:
-		return newClassic(universe, fanout)
+		c := newClassic(universe, fanout)
+		return &c
 	case Blocked:
-		return newBlocked(universe)
+		b := makeBlocked(universe)
+		return &b
 	case BlockFenwick:
 		return newBlockFenwick(universe)
 	}
@@ -144,9 +146,11 @@ func FromSlice(kind Kind, values []int64, fanout int) Backend {
 	case Auto, "":
 		return autoFromSlice(values, fanout)
 	case Classic:
-		return classicFromSlice(values, fanout)
+		c := classicFromSlice(values, fanout)
+		return &c
 	case Blocked:
-		return blockedFromSlice(values)
+		b := blockedFromSlice(values)
+		return &b
 	case BlockFenwick:
 		return blockFenwickFromSlice(values)
 	}

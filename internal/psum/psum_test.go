@@ -371,39 +371,49 @@ func checkSame(t *testing.T, step string, b, ref Backend) {
 // count toward promotion), positive and negative deltas, and a Grow on
 // each side of the switch — checking it against the classic reference
 // after every step and that it promotes exactly once, on the Add that
-// makes the stored key count reach half the universe.
+// makes the stored key count reach half the universe. Once promoted it
+// must never be back in the sparse phase, and each later Add must
+// write exactly what a blocked group writes: a second promotion would
+// add a rebuild's writes.
 func TestAutoPromotion(t *testing.T) {
 	const fanout = 4
 	a := New(Auto, 64, fanout).(*auto)
 	ref := New(Classic, 64, fanout)
-	var flat *blocked
+	flat := New(Blocked, 64, 0)
 	promotions := 0
 	add := func(step string, k int, d int64) {
 		t.Helper()
-		wasFlat := a.bl != nil
-		a.Add(k, d)
+		wasFlat := a.tr == nil
+		w := a.Add(k, d)
 		ref.Add(k, d)
+		fw := flat.Add(k, d)
 		// The reference B-tree saw the same Adds, so it stores the same
 		// keys the auto group's tree would.
 		stored := ref.(*classic).tr.Len()
 		switch {
-		case !wasFlat && a.bl != nil:
+		case !wasFlat && a.tr == nil:
 			promotions++
 			if want := (a.Universe() + 1) / 2; stored != want {
 				t.Fatalf("%s: promoted at %d stored keys, want %d", step, stored, want)
 			}
-			flat = a.bl
 		case !wasFlat && dense(stored, a.Universe()):
 			t.Fatalf("%s: %d stored keys of %d and not promoted", step, stored, a.Universe())
-		case wasFlat && a.bl != flat:
-			t.Fatalf("%s: flat layout replaced after promotion", step)
+		case wasFlat && a.tr != nil:
+			t.Fatalf("%s: back in the sparse phase after promotion", step)
+		case wasFlat && w != fw:
+			t.Fatalf("%s: flat Add wrote %d cells, blocked writes %d", step, w, fw)
 		}
 		checkSame(t, step, a, ref)
 	}
 	grow := func(step string, m int) {
 		t.Helper()
+		wasFlat := a.tr == nil
 		a.Grow(m)
 		ref.Grow(m)
+		flat.Grow(m)
+		if wasFlat && a.tr != nil {
+			t.Fatalf("%s: back in the sparse phase after Grow", step)
+		}
 		checkSame(t, step, a, ref)
 	}
 
@@ -414,11 +424,11 @@ func TestAutoPromotion(t *testing.T) {
 			add("cancel", k*3, -ref.Get(k*3))
 		}
 	}
-	if a.bl != nil {
+	if a.tr == nil {
 		t.Fatal("promoted below the break-even")
 	}
 	grow("grow before", 80) // break-even moves from 32 to 40 stored keys
-	for k := 1; a.bl == nil; k += 3 {
+	for k := 1; a.tr != nil; k += 3 {
 		add("cross", k, -int64(k))
 	}
 	if a.Len() >= 40 {
@@ -449,8 +459,8 @@ func TestAutoFromSlice(t *testing.T) {
 				vals[m-1-2*i] = int64(i + 1)
 			}
 			a := FromSlice(Auto, vals, 8).(*auto)
-			if (a.bl != nil) != (nonzero == breakEven) {
-				t.Fatalf("m=%d nonzero=%d: promoted=%v", m, nonzero, a.bl != nil)
+			if promoted := a.tr == nil; promoted != (nonzero == breakEven) {
+				t.Fatalf("m=%d nonzero=%d: promoted=%v", m, nonzero, promoted)
 			}
 			checkSame(t, "fromslice", a, FromSlice(Classic, vals, 8))
 		}

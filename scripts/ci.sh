@@ -34,10 +34,10 @@ go test -run - -bench BenchmarkTelemetryOverhead -benchtime 0.5s .
 go test -run 'RangeSumBatch|BatchTelemetry|SumBatch' -count=1 . ./internal/cubeserver
 # Backend property tier (DESIGN.md §11): every prefix-sum backend must
 # agree exactly with the classic reference — cube-level op sequences,
-# snapshot round-trips across backends, the psum fuzz seed corpus —
-# under the race detector; the allocation guards run in the plain pass
-# above.
-go test -race -run 'Backend' -count=1 . ./internal/psum
+# snapshot round-trips across backends, the psum fuzz seed corpus, the
+# auto promotion tests and core's op-count invariance — under the race
+# detector; the allocation guards run in the plain pass above.
+go test -race -run 'Backend|Auto|OpCount' -count=1 . ./internal/psum ./internal/core
 # Bench smoke: the batched engine's JSON section must produce sane
 # numbers end to end (full suite writes BENCH_pr6.json), and the
 # backend matrix row guards the blocked backend's constant factor
