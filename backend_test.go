@@ -288,6 +288,42 @@ func TestSparseCubeHeap(t *testing.T) {
 	}
 }
 
+// denseBulkHeapBudget caps the live heap of a bulk-built, fully
+// populated 512x512 default cube in bytes per cell: the slab layout
+// measured 13.9 B per cell (3.63 MB for 262144 cells, amd64), and the
+// budget allows 5% on top of that. The pointer-linked tree before it
+// held 34.8 B per cell.
+const denseBulkHeapBudget = 14.6
+
+// TestDenseBulkCubeHeap guards the dense layout in live bytes: a
+// BuildDynamic of a fully populated 512x512 cube under the default
+// backend must stay within denseBulkHeapBudget bytes per cell, so
+// per-node and per-box pointer structures cannot quietly return.
+func TestDenseBulkCubeHeap(t *testing.T) {
+	const side = 512
+	vals := make([]int64, side*side)
+	r := workload.NewRNG(5)
+	for i := range vals {
+		vals[i] = 1 + r.Int63n(100)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := BuildDynamic([]int{side, side}, vals, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	cells := int64(len(vals))
+	t.Logf("live heap %d B for %d cells (%.1f B/cell, budget %.1f)", live, cells, float64(live)/float64(cells), denseBulkHeapBudget)
+	if float64(live) > denseBulkHeapBudget*float64(cells) {
+		t.Fatalf("dense bulk cube holds %d B live for %d cells: over %.1f B/cell", live, cells, denseBulkHeapBudget)
+	}
+}
+
 // seqVals returns 0,1,2,... — a dense bulk-load payload.
 func seqVals(n int) []int64 {
 	vals := make([]int64, n)

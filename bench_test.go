@@ -156,8 +156,10 @@ func BenchmarkUpdate(b *testing.B) {
 
 // BenchmarkRangeQuery measures one range-sum query per iteration for
 // every method on a sparse 256x256 cube — the right half of the
-// trade-off — and, as dense1024, for the DDC on a fully populated
-// 1024x1024 cube whose row-sum groups use the flat layout.
+// trade-off — and, for the DDC, on two fully populated bulk-built
+// cubes: dense1024 (1024x1024, whose row-sum groups use the flat
+// layout) and dense3d (128x128x128, whose row-sum groups are nested
+// two-dimensional cubes).
 func BenchmarkRangeQuery(b *testing.B) {
 	dims := []int{256, 256}
 	for _, m := range benchMethods() {
@@ -183,6 +185,28 @@ func BenchmarkRangeQuery(b *testing.B) {
 			for j := range lo {
 				lo[j] = r.Intn(side)
 				hi[j] = min(side-1, lo[j]+r.Intn(512))
+			}
+			qs[i] = workload.Query{Lo: lo, Hi: hi}
+		}
+		benchRangeSums(b, c, qs)
+	})
+	b.Run("dense3d", func(b *testing.B) {
+		const side = 128
+		r := workload.NewRNG(12345)
+		vals := make([]int64, side*side*side)
+		for i := range vals {
+			vals[i] = 1 + r.Int63n(100)
+		}
+		c, err := BuildDynamic([]int{side, side, side}, vals, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs := make([]workload.Query, 4096)
+		for i := range qs {
+			lo, hi := make([]int, 3), make([]int, 3)
+			for j := range lo {
+				lo[j] = r.Intn(side)
+				hi[j] = min(side-1, lo[j]+r.Intn(64))
 			}
 			qs[i] = workload.Query{Lo: lo, Hi: hi}
 		}

@@ -393,17 +393,15 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 			ci := work[wi]
 			var ops cube.OpCounter
 			if sc != nil {
-				var v int64
 				lv := make([]uint64, 0, len(levels))
-				v, lv = t.prefixLevels(distinct[ci], &ops, lv)
-				values[ci] = v
+				values[ci] = t.prefixWithOps(distinct[ci], &ops, &lv)
 				for i, n := range lv {
 					if i < len(levels) {
 						atomic.AddUint64(&levels[i], n)
 					}
 				}
 			} else {
-				values[ci] = t.prefixWithOps(distinct[ci], &ops)
+				values[ci] = t.prefixWithOps(distinct[ci], &ops, nil)
 			}
 			merged.AtomicAdd(ops)
 		})

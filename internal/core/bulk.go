@@ -15,7 +15,8 @@ import (
 // O(n^d log n) cell reads with no per-update group maintenance — the
 // batch-load path Section 1 contrasts with incremental updates.
 //
-// The resulting tree answers exactly like FromArray's (tests assert
+// Records and cells are laid out depth first into fresh slabs. The
+// resulting tree answers exactly like FromArray's (tests assert
 // equality); FromArray remains available as the incremental path and the
 // two are compared in the ablation-bulk experiment.
 func BuildFromArray(a *cube.Array, cfg Config) (*Tree, error) {
@@ -23,15 +24,17 @@ func BuildFromArray(a *cube.Array, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.root = t.buildRec(a, make(grid.Point, t.d), t.n)
+	t.buildRoot(a)
 	return t, nil
 }
 
 // BuildFromArrayParallel is BuildFromArray with the 2^d root subtrees
-// (and their overlay boxes) constructed concurrently. The subtrees are
-// disjoint and nested group trees merely share the parent's operation
-// counter pointer (not written during construction), so the fan-out is
-// race-free; the resulting tree is identical to the sequential build.
+// (and their overlay boxes) constructed concurrently. Each subtree is
+// built into an arena of its own, so the builders share nothing but the
+// read-only source array and the operation counter pointer (not written
+// during construction); the root then adopts the subtree arenas' pages,
+// rebasing their addresses, without copying a cell. The resulting tree
+// answers identically to the sequential build.
 func BuildFromArrayParallel(a *cube.Array, cfg Config) (*Tree, error) {
 	t, err := NewWithConfig(a.Dims(), cfg)
 	if err != nil {
@@ -39,19 +42,16 @@ func BuildFromArrayParallel(a *cube.Array, cfg Config) (*Tree, error) {
 	}
 	if t.n == t.cfg.Tile {
 		// Single-tile domain: nothing to fan out.
-		t.root = t.buildRec(a, make(grid.Point, t.d), t.n)
+		t.buildRoot(a)
 		return t, nil
 	}
 	k := t.n / 2
-	nd := &node{
-		boxes:    make([]*box, 1<<uint(t.d)),
-		children: make([]*node, 1<<uint(t.d)),
-	}
-	// The construction paths (buildRec, buildBox, buildGroupsFromDense)
-	// allocate all working state locally and never touch the tree's
-	// query scratch, so disjoint subtrees can be built concurrently.
+	nc := 1 << uint(t.d)
+	arenas := make([]*arena, nc)
+	kids := make([]nodeRec, nc)
+	boxes := make([]boxRec, nc)
 	var wg sync.WaitGroup
-	for ci := 0; ci < 1<<uint(t.d); ci++ {
+	for ci := 0; ci < nc; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
@@ -61,73 +61,89 @@ func BuildFromArrayParallel(a *cube.Array, cfg Config) (*Tree, error) {
 					childAnchor[i] = k
 				}
 			}
-			child := t.buildRec(a, childAnchor, k)
-			if child == nil {
-				return
+			w := newNested(t.dims, t.cfg, &arena{}, t.ops)
+			kids[ci] = w.buildRec(a, childAnchor, k)
+			if !kids[ci].absent() {
+				boxes[ci] = w.buildBox(a, childAnchor, k)
 			}
-			nd.children[ci] = child
-			nd.boxes[ci] = t.buildBox(a, childAnchor, k)
+			arenas[ci] = w.ar
 		}(ci)
 	}
 	wg.Wait()
-	for _, c := range nd.children {
-		if c != nil {
-			t.root = nd
-			return t, nil
+	rec := absentNode
+	for ci := 0; ci < nc; ci++ {
+		if kids[ci].absent() {
+			continue
 		}
+		if rec.absent() {
+			rec = t.ar.newBlock(nc)
+		}
+		b := t.ar.adopt(arenas[ci])
+		*t.node(rec.child + int32(ci)) = b.node(kids[ci])
+		*t.ar.boxes.at(rec.box + int32(ci)) = b.box(boxes[ci])
 	}
-	return t, nil // all-zero array: nil root
+	if !rec.absent() {
+		t.root = t.ar.newRecord(rec)
+	}
+	return t, nil // all-zero array: empty root
+}
+
+// buildRoot bulk-builds the whole tree from a (sequentially).
+func (t *Tree) buildRoot(a *cube.Array) {
+	if rec := t.buildRec(a, make(grid.Point, t.d), t.n); !rec.absent() {
+		t.root = t.ar.newRecord(rec)
+	}
 }
 
 // buildRec constructs the subtree for the region [anchor, anchor+ext)
-// of the source array, returning nil for all-zero regions (which keeps
-// bulk-loaded cubes as sparse as incrementally-built ones).
-func (t *Tree) buildRec(a *cube.Array, anchor grid.Point, ext int) *node {
+// of the source array and returns its record, absent for all-zero
+// regions (which keeps bulk-loaded cubes as sparse as incrementally
+// built ones). Subtrees are laid out depth first: a node's child and
+// box blocks follow everything below it.
+func (t *Tree) buildRec(a *cube.Array, anchor grid.Point, ext int) nodeRec {
 	// Regions entirely outside the declared domain are padding: zero.
 	for i := 0; i < t.d; i++ {
 		if anchor[i] >= a.Extent().Dim(i) {
-			return nil
+			return absentNode
 		}
 	}
 	if ext == t.cfg.Tile {
 		return t.buildLeaf(a, anchor)
 	}
 	k := ext / 2
-	nd := &node{
-		boxes:    make([]*box, 1<<uint(t.d)),
-		children: make([]*node, 1<<uint(t.d)),
-	}
+	nc := 1 << uint(t.d)
+	kids := make([]nodeRec, nc)
+	boxes := make([]boxRec, nc)
 	any := false
-	for ci := 0; ci < 1<<uint(t.d); ci++ {
+	for ci := 0; ci < nc; ci++ {
 		childAnchor := anchor.Clone()
 		for i := 0; i < t.d; i++ {
 			if ci&(1<<uint(i)) != 0 {
 				childAnchor[i] += k
 			}
 		}
-		child := t.buildRec(a, childAnchor, k)
-		if child == nil {
+		kids[ci] = t.buildRec(a, childAnchor, k)
+		if kids[ci].absent() {
 			continue
 		}
 		any = true
-		nd.children[ci] = child
-		nd.boxes[ci] = t.buildBox(a, childAnchor, k)
+		boxes[ci] = t.buildBox(a, childAnchor, k)
 	}
 	if !any {
-		return nil
+		return absentNode
 	}
-	return nd
+	rec := t.ar.newBlock(nc)
+	copy(t.ar.nodes.region(rec.child, 0, nc), kids)
+	copy(t.ar.boxes.region(rec.box, 0, nc), boxes)
+	return rec
 }
 
-// buildLeaf copies one tile of raw values; nil if the tile is all zero.
-func (t *Tree) buildLeaf(a *cube.Array, anchor grid.Point) *node {
+// buildLeaf copies one tile of raw values into the leaves slab; the
+// record is absent if the tile is all zero.
+func (t *Tree) buildLeaf(a *cube.Array, anchor grid.Point) nodeRec {
 	tile := t.cfg.Tile
-	sz := 1
-	for i := 0; i < t.d; i++ {
-		sz *= tile
-	}
-	vals := make([]int64, sz)
-	any := false
+	rec := absentNode
+	var vals []int64
 	p := make(grid.Point, t.d)
 	idx := make([]int, t.d)
 	for off := 0; ; off++ {
@@ -135,8 +151,11 @@ func (t *Tree) buildLeaf(a *cube.Array, anchor grid.Point) *node {
 			p[i] = anchor[i] + idx[i]
 		}
 		if v := a.Get(p); v != 0 {
+			if vals == nil {
+				rec.leaf = t.ar.leaves.alloc(t.leafCells)
+				vals = t.ar.leaves.region(rec.leaf, 0, t.leafCells)
+			}
 			vals[off] = v
-			any = true
 		}
 		i := t.d - 1
 		for ; i >= 0; i-- {
@@ -147,19 +166,15 @@ func (t *Tree) buildLeaf(a *cube.Array, anchor grid.Point) *node {
 			idx[i] = 0
 		}
 		if i < 0 {
-			break
+			return rec
 		}
 	}
-	if !any {
-		return nil
-	}
-	return &node{leaf: vals}
 }
 
 // buildBox computes one overlay box's subtotal and row-sum groups with a
 // single scan of the covered region, then bulk-builds the group stores.
-func (t *Tree) buildBox(a *cube.Array, boxAnchor grid.Point, k int) *box {
-	b := &box{}
+func (t *Tree) buildBox(a *cube.Array, boxAnchor grid.Point, k int) boxRec {
+	var b boxRec
 	// Dense row-sum buffers, one per dimension, each of size k^{d-1}.
 	faceSize := 1
 	for i := 1; i < t.d; i++ {
@@ -198,39 +213,46 @@ func (t *Tree) buildBox(a *cube.Array, boxAnchor grid.Point, k int) *box {
 			gs[j][off] += v
 		}
 	})
-	b.groups = t.buildGroupsFromDense(k, gs)
+	t.buildGroupsFromDense(&b, k, gs)
 	return b
 }
 
-// buildGroupsFromDense bulk-constructs the group stores from dense
-// row-sum buffers (mirrors makeGroups' recursion).
-func (t *Tree) buildGroupsFromDense(k int, gs [][]int64) []group {
+// buildGroupsFromDense bulk-constructs a box's group stores from dense
+// row-sum buffers (mirrors initBox's recursion): flat groups are folded
+// in place in the cells slab, the rest built into the side table.
+func (t *Tree) buildGroupsFromDense(b *boxRec, k int, gs [][]int64) {
+	kind := psum.Kind(t.cfg.Backend)
 	switch {
 	case t.d == 1:
-		return nil
+		b.kind, b.ref = boxFlat, noRec
+	case t.d == 2 && psum.BuildsFlat(kind, gs[0]) && psum.BuildsFlat(kind, gs[1]):
+		fs := psum.FlatSize(k)
+		b.kind, b.ref = boxFlat, t.ar.cells.alloc(2*fs)
+		for j := range gs {
+			cells := t.ar.cells.region(b.ref, j*fs, fs)
+			copy(cells, gs[j])
+			psum.FlatFold(cells, k)
+		}
 	case t.d == 2:
-		kind := psum.Kind(t.cfg.Backend)
-		return []group{
-			{ps: psum.FromSlice(kind, gs[0], t.cfg.Fanout)},
-			{ps: psum.FromSlice(kind, gs[1], t.cfg.Fanout)},
+		b.kind, b.ref = boxSide, t.ar.allocSide(2)
+		side := t.ar.side.region(b.ref, 0, 2)
+		for j := range side {
+			side[j] = group{ps: psum.FromSlice(kind, gs[j], t.cfg.Fanout)}
 		}
 	default:
 		dims := make([]int, t.d-1)
 		for i := range dims {
 			dims[i] = k
 		}
-		out := make([]group, t.d)
+		b.kind, b.ref = boxSide, t.ar.allocSide(t.d)
 		for j := 0; j < t.d; j++ {
 			ga, err := cube.FromValues(dims, gs[j])
 			if err != nil {
 				panic(err) // dims/buffer sizes are internally consistent
 			}
-			// Share the parent's operation counter *before* building, so
-			// every nested group observes the same counter.
-			nested := newNested(dims, t.cfg, t.ops)
-			nested.root = nested.buildRec(ga, make(grid.Point, nested.d), nested.n)
-			out[j].tr = nested
+			nested := newNested(dims, t.cfg, t.ar, t.ops)
+			nested.buildRoot(ga)
+			*t.ar.side.at(b.ref + int32(j)) = group{tr: nested}
 		}
-		return out
 	}
 }

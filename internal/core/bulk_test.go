@@ -94,7 +94,7 @@ func TestBuildFromArrayEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.root != nil {
+	if tr.root != noRec {
 		t.Fatal("empty array should build a nil root")
 	}
 	if tr.Total() != 0 || tr.Prefix(grid.Point{15, 15}) != 0 {
@@ -162,7 +162,7 @@ func TestBuildFromArrayParallelEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.root != nil || tr.Total() != 0 {
+	if tr.root != noRec || tr.Total() != 0 {
 		t.Fatal("empty parallel build should have nil root")
 	}
 	tiny := cube.MustNew(3, 3)

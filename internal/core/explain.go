@@ -68,7 +68,7 @@ type Contribution struct {
 // Like Prefix, it only reads the tree and is safe for concurrent
 // callers.
 func (t *Tree) ExplainPrefix(p grid.Point) (int64, []Contribution) {
-	if len(p) != t.d || (t.root == nil && len(t.pending) == 0) {
+	if len(p) != t.d || (t.root == noRec && len(t.pending) == 0) {
 		return 0, nil
 	}
 	q := make(grid.Point, t.d)
@@ -85,7 +85,7 @@ func (t *Tree) ExplainPrefix(p grid.Point) (int64, []Contribution) {
 	var parts []Contribution
 	s := getQueryScratch(t.d)
 	var sum int64
-	if t.root != nil {
+	if t.root != noRec {
 		sum = t.explainRec(s, t.root, make(grid.Point, t.d), t.n, q, 0, &parts)
 	}
 	// Pending range updates contribute at the top of the descent: one
@@ -126,12 +126,13 @@ func (t *Tree) ExplainPrefix(p grid.Point) (int64, []Contribution) {
 	return sum, parts
 }
 
-func (t *Tree) explainRec(s *queryScratch, nd *node, anchor grid.Point, ext int, q grid.Point, level int, parts *[]Contribution) int64 {
-	if nd == nil {
-		return 0
-	}
+func (t *Tree) explainRec(s *queryScratch, nd int32, anchor grid.Point, ext int, q grid.Point, level int, parts *[]Contribution) int64 {
+	n := t.node(nd)
 	if ext == t.cfg.Tile {
-		v := t.leafPrefix(s, nd, anchor, q, level)
+		if n.leaf < 0 {
+			return 0
+		}
+		v := t.leafPrefix(s, n.leaf, anchor, q, level)
 		if v != 0 {
 			*parts = append(*parts, Contribution{
 				Level: level, BoxAnchor: t.logical(anchor), K: ext, Kind: KindLeaf, Value: v,
@@ -139,7 +140,7 @@ func (t *Tree) explainRec(s *queryScratch, nd *node, anchor grid.Point, ext int,
 		}
 		return v
 	}
-	if nd.boxes == nil {
+	if n.box < 0 {
 		return 0
 	}
 	k := ext / 2
@@ -173,25 +174,26 @@ func (t *Tree) explainRec(s *queryScratch, nd *node, anchor grid.Point, ext int,
 		if before {
 			continue
 		}
-		b := nd.boxes[ci]
+		b := t.ar.boxes.at(n.box + int32(ci))
+		child := n.child + int32(ci)
 		switch {
 		case afterAll:
-			if b != nil && b.sub != 0 {
+			if b.kind != boxAbsent && b.sub != 0 {
 				*parts = append(*parts, Contribution{
 					Level: level, BoxAnchor: t.logical(boxAnchor), K: k, Kind: KindSubtotal, Value: b.sub,
 				})
 				sum += b.sub
 			}
 		case faceDim >= 0:
-			if b == nil {
+			if b.kind == boxAbsent {
 				break
 			}
-			if b.delegate {
+			if b.kind == boxDelegate {
 				qq := make(grid.Point, t.d)
 				for i := 0; i < t.d; i++ {
 					qq[i] = boxAnchor[i] + l[i]
 				}
-				v := t.prefixRec(s, nd.children[ci], boxAnchor.Clone(), k, qq, level+1)
+				v := t.prefixRec(s, child, boxAnchor.Clone(), k, qq, level+1)
 				if v != 0 {
 					*parts = append(*parts, Contribution{
 						Level: level, BoxAnchor: t.logical(boxAnchor), K: k, Kind: KindDelegated, Value: v,
@@ -200,7 +202,7 @@ func (t *Tree) explainRec(s *queryScratch, nd *node, anchor grid.Point, ext int,
 				sum += v
 				break
 			}
-			v := b.groups[faceDim].prefix(dropDim(l, faceDim), &s.ops)
+			v := t.boxPrefix(b, k, faceDim, dropDim(l, faceDim), &s.ops)
 			if v != 0 {
 				*parts = append(*parts, Contribution{
 					Level: level, BoxAnchor: t.logical(boxAnchor), K: k, Kind: KindRowSum, Value: v,
@@ -208,7 +210,7 @@ func (t *Tree) explainRec(s *queryScratch, nd *node, anchor grid.Point, ext int,
 			}
 			sum += v
 		default:
-			sum += t.explainRec(s, nd.children[ci], boxAnchor.Clone(), k, q, level+1, parts)
+			sum += t.explainRec(s, child, boxAnchor.Clone(), k, q, level+1, parts)
 		}
 	}
 	return sum

@@ -35,14 +35,15 @@ func (t *Tree) Grow(before []bool) error {
 			t.origin[i] -= t.n
 		}
 	}
-	if t.root != nil {
-		newRoot := &node{
-			boxes:    make([]*box, 1<<uint(t.d)),
-			children: make([]*node, 1<<uint(t.d)),
-		}
-		newRoot.boxes[ci] = &box{sub: t.Total(), delegate: true}
-		newRoot.children[ci] = t.root
-		t.root = newRoot
+	if t.root != noRec {
+		// Re-root in place: the old root record moves into slot ci of a
+		// fresh child block and the root address now names the new root.
+		total := t.Total()
+		rec := t.ar.newBlock(1 << uint(t.d))
+		root := t.node(t.root)
+		*t.node(rec.child + int32(ci)) = *root
+		*t.ar.boxes.at(rec.box + int32(ci)) = boxRec{sub: total, ref: noRec, kind: boxDelegate}
+		*root = rec
 	}
 	t.n *= 2
 	t.grown = true
@@ -84,57 +85,55 @@ func (t *Tree) Materialize() {
 	t.FlushPending()
 	t.bumpEpoch()
 	var ops cube.OpCounter
-	t.materializeRec(&ops, t.root, make(grid.Point, t.d), t.n)
+	if t.root != noRec {
+		t.materializeRec(&ops, t.root, make(grid.Point, t.d), t.n)
+	}
 	t.ops.AtomicAdd(ops)
 }
 
-func (t *Tree) materializeRec(ops *cube.OpCounter, nd *node, anchor grid.Point, ext int) {
-	if nd == nil || ext == t.cfg.Tile {
+func (t *Tree) materializeRec(ops *cube.OpCounter, nd int32, anchor grid.Point, ext int) {
+	n := t.node(nd)
+	if ext == t.cfg.Tile || n.box < 0 {
 		return
 	}
 	k := ext / 2
-	for ci, b := range nd.boxes {
+	drop := make([]int, t.d)
+	for ci := 0; ci < 1<<uint(t.d); ci++ {
 		boxAnchor := anchor.Clone()
 		for i := 0; i < t.d; i++ {
 			if ci&(1<<uint(i)) != 0 {
 				boxAnchor[i] += k
 			}
 		}
-		if b != nil && b.delegate {
-			b.groups = t.makeGroups(k)
-			b.delegate = false
+		child := n.child + int32(ci)
+		if b := t.ar.boxes.at(n.box + int32(ci)); b.kind == boxDelegate {
+			t.initBox(b, k)
 			o := make(grid.Point, t.d)
-			t.forEachNonZeroRec(nd.children[ci], boxAnchor, k, func(p grid.Point, v int64) bool {
+			t.forEachInRangeRec(t.ar, child, boxAnchor, k, nil, nil, func(p grid.Point, v int64) bool {
 				for i := 0; i < t.d; i++ {
 					o[i] = p[i] - boxAnchor[i]
 				}
-				for j := range b.groups {
-					b.groups[j].add(dropDim(o, j), v, ops)
-				}
+				t.boxAdd(b, k, o, v, drop, ops)
 				return true
 			})
 		}
-		t.materializeRec(ops, nd.children[ci], boxAnchor, k)
+		t.materializeRec(ops, child, boxAnchor, k)
 	}
 }
 
 // HasDelegates reports whether any box is still in delegating mode;
 // tests and the experiment harness use it.
 func (t *Tree) HasDelegates() bool {
-	return hasDelegatesRec(t.root)
+	return t.root != noRec && t.hasDelegatesRec(t.root)
 }
 
-func hasDelegatesRec(nd *node) bool {
-	if nd == nil {
+func (t *Tree) hasDelegatesRec(nd int32) bool {
+	n := t.node(nd)
+	if n.box < 0 {
 		return false
 	}
-	for _, b := range nd.boxes {
-		if b != nil && b.delegate {
-			return true
-		}
-	}
-	for _, c := range nd.children {
-		if hasDelegatesRec(c) {
+	for ci := int32(0); ci < 1<<uint(t.d); ci++ {
+		if t.ar.boxes.at(n.box+ci).kind == boxDelegate || t.hasDelegatesRec(n.child+ci) {
 			return true
 		}
 	}

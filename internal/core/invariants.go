@@ -2,14 +2,22 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"ddc/internal/cube"
 	"ddc/internal/grid"
+	"ddc/internal/psum"
 )
 
 // CheckInvariants walks the whole structure and cross-validates every
 // derived value against the raw leaf data:
 //
+//   - the arena is well formed: every address lies inside the used part
+//     of its slab, record fields match the node's level, each flat box
+//     region is 2*FlatSize(k) cells, nested trees share the arena, and
+//     no two live regions (record blocks, leaf tiles, flat groups,
+//     side-table blocks, freed side blocks) overlap — so no record is
+//     reachable twice;
 //   - each overlay box's subtotal equals the sum of the raw cells it
 //     covers;
 //   - each non-delegating box's row-sum groups answer, for every local
@@ -18,24 +26,161 @@ import (
 //
 // It is O(cells * groups) and intended for tests, not production paths.
 func (t *Tree) CheckInvariants() error {
-	if t.root == nil {
+	var c claims
+	for _, a := range t.ar.free {
+		if err := claimIn(&c, "side", &t.ar.side, a, 2); err != nil {
+			return err
+		}
+	}
+	if err := t.claimTree(&c); err != nil {
+		return err
+	}
+	if err := c.disjoint(); err != nil {
+		return err
+	}
+	if t.root == noRec {
 		return nil
 	}
 	_, err := t.checkNode(t.root, make(grid.Point, t.d), t.n)
 	return err
 }
 
-// checkNode validates the subtree and returns the raw sum of its region.
-func (t *Tree) checkNode(nd *node, anchor grid.Point, ext int) (int64, error) {
-	if nd == nil {
-		return 0, nil
+// claim is one live region of a slab page: [off, end).
+type claim struct {
+	slab           string
+	page, off, end int
+}
+
+type claims []claim
+
+// claimIn records the region [a, a+n) of slab s, failing if it does
+// not lie inside the slab's used pages.
+func claimIn[T any](c *claims, name string, s *slab[T], a int32, n int) error {
+	if !s.valid(a, n) {
+		return fmt.Errorf("arena: %s region %d (+%d) outside its slab", name, a, n)
 	}
+	off := int(a & pageMask)
+	*c = append(*c, claim{slab: name, page: int(a >> pageShift), off: off, end: off + n})
+	return nil
+}
+
+// disjoint fails if any two claimed regions overlap.
+func (c claims) disjoint() error {
+	sort.Slice(c, func(i, j int) bool {
+		if c[i].slab != c[j].slab {
+			return c[i].slab < c[j].slab
+		}
+		if c[i].page != c[j].page {
+			return c[i].page < c[j].page
+		}
+		return c[i].off < c[j].off
+	})
+	for i := 1; i < len(c); i++ {
+		p, q := c[i-1], c[i]
+		if p.slab == q.slab && p.page == q.page && q.off < p.end {
+			return fmt.Errorf("arena: %s regions overlap in page %d: [%d,%d) and [%d,%d)",
+				p.slab, p.page, p.off, p.end, q.off, q.end)
+		}
+	}
+	return nil
+}
+
+// claimTree claims every region the tree (and its nested group trees)
+// holds.
+func (t *Tree) claimTree(c *claims) error {
+	if t.root == noRec {
+		return nil
+	}
+	if err := claimIn(c, "node", &t.ar.nodes, t.root, 1); err != nil {
+		return err
+	}
+	return t.claimRec(c, t.root, t.n)
+}
+
+func (t *Tree) claimRec(c *claims, nd int32, ext int) error {
+	n := *t.node(nd)
+	if ext == t.cfg.Tile {
+		if n.child != noRec || n.box != noRec {
+			return fmt.Errorf("arena: leaf-level node %d has inner fields %+v", nd, n)
+		}
+		if n.leaf == noRec {
+			return nil
+		}
+		return claimIn(c, "leaf", &t.ar.leaves, n.leaf, t.leafCells)
+	}
+	if n.leaf != noRec || (n.box < 0) != (n.child < 0) {
+		return fmt.Errorf("arena: inner node %d has fields %+v", nd, n)
+	}
+	if n.box < 0 {
+		return nil
+	}
+	nc := 1 << uint(t.d)
+	if err := claimIn(c, "node", &t.ar.nodes, n.child, nc); err != nil {
+		return err
+	}
+	if err := claimIn(c, "box", &t.ar.boxes, n.box, nc); err != nil {
+		return err
+	}
+	k := ext / 2
+	for ci := int32(0); ci < int32(nc); ci++ {
+		b := *t.ar.boxes.at(n.box + ci)
+		var err error
+		switch {
+		case b.kind == boxAbsent || (b.kind == boxFlat && t.d == 1) || b.kind == boxDelegate:
+			if b.kind != boxAbsent && b.ref != noRec {
+				err = fmt.Errorf("arena: box %d of node %d (kind %d) has ref %d", ci, nd, b.kind, b.ref)
+			}
+		case b.kind == boxFlat && t.d == 2:
+			err = claimIn(c, "cells", &t.ar.cells, b.ref, 2*psum.FlatSize(k))
+		case b.kind == boxSide:
+			err = t.claimSide(c, b.ref)
+		default:
+			err = fmt.Errorf("arena: box %d of node %d has kind %d at d=%d", ci, nd, b.kind, t.d)
+		}
+		if err != nil {
+			return err
+		}
+		if err := t.claimRec(c, n.child+ci, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// claimSide claims a box's side-table block and whatever its groups
+// hold in the arena.
+func (t *Tree) claimSide(c *claims, ref int32) error {
+	if err := claimIn(c, "side", &t.ar.side, ref, t.d); err != nil {
+		return err
+	}
+	for j, g := range t.ar.side.region(ref, 0, t.d) {
+		switch {
+		case t.d == 2 && g.ps != nil && g.tr == nil:
+		case t.d > 2 && g.ps == nil && g.tr != nil && g.tr.ar == t.ar:
+			if err := g.tr.claimTree(c); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("arena: side slot %d+%d holds a malformed group", ref, j)
+		}
+	}
+	return nil
+}
+
+// checkNode validates the subtree and returns the raw sum of its region.
+func (t *Tree) checkNode(nd int32, anchor grid.Point, ext int) (int64, error) {
+	n := t.node(nd)
 	if ext == t.cfg.Tile {
 		var s int64
-		for _, v := range nd.leaf {
-			s += v
+		if n.leaf >= 0 {
+			for _, v := range t.ar.leaves.region(n.leaf, 0, t.leafCells) {
+				s += v
+			}
 		}
 		return s, nil
+	}
+	if n.box < 0 {
+		return 0, nil
 	}
 	k := ext / 2
 	var total int64
@@ -46,20 +191,14 @@ func (t *Tree) checkNode(nd *node, anchor grid.Point, ext int) (int64, error) {
 				boxAnchor[i] += k
 			}
 		}
-		var child *node
-		if nd.children != nil {
-			child = nd.children[ci]
-		}
+		child := n.child + int32(ci)
 		childSum, err := t.checkNode(child, boxAnchor, k)
 		if err != nil {
 			return 0, err
 		}
 		total += childSum
-		var b *box
-		if nd.boxes != nil {
-			b = nd.boxes[ci]
-		}
-		if b == nil {
+		b := t.ar.boxes.at(n.box + int32(ci))
+		if b.kind == boxAbsent {
 			if childSum != 0 {
 				return 0, fmt.Errorf("box at %v (k=%d) missing but child holds %d", boxAnchor, k, childSum)
 			}
@@ -68,10 +207,10 @@ func (t *Tree) checkNode(nd *node, anchor grid.Point, ext int) (int64, error) {
 		if b.sub != childSum {
 			return 0, fmt.Errorf("box at %v (k=%d): subtotal %d != raw sum %d", boxAnchor, k, b.sub, childSum)
 		}
-		if b.delegate {
-			continue // groups are answered through the child; nothing stored
+		if b.kind == boxDelegate || t.d == 1 {
+			continue // nothing stored: answered through the child, or no groups
 		}
-		if err := t.checkGroups(nd, ci, b, boxAnchor, k); err != nil {
+		if err := t.checkGroups(child, b, boxAnchor, k); err != nil {
 			return 0, err
 		}
 	}
@@ -79,19 +218,10 @@ func (t *Tree) checkNode(nd *node, anchor grid.Point, ext int) (int64, error) {
 }
 
 // checkGroups verifies every face value the box can be asked for.
-func (t *Tree) checkGroups(nd *node, ci int, b *box, boxAnchor grid.Point, k int) error {
-	if t.d == 1 {
-		if len(b.groups) != 0 {
-			return fmt.Errorf("1-d box at %v has %d groups", boxAnchor, len(b.groups))
-		}
-		return nil
-	}
-	if len(b.groups) != t.d {
-		return fmt.Errorf("box at %v has %d groups, want %d", boxAnchor, len(b.groups), t.d)
-	}
+func (t *Tree) checkGroups(child int32, b *boxRec, boxAnchor grid.Point, k int) error {
 	// Collect the raw cells below the child once.
 	raw := map[string]int64{}
-	t.forEachNonZeroRec(nd.children[ci], boxAnchor, k, func(p grid.Point, v int64) bool {
+	t.forEachInRangeRec(t.ar, child, boxAnchor, k, nil, nil, func(p grid.Point, v int64) bool {
 		raw[p.String()] = v
 		return true
 	})
@@ -102,7 +232,7 @@ func (t *Tree) checkGroups(nd *node, ci int, b *box, boxAnchor grid.Point, k int
 		l := make([]int, t.d-1)
 		for {
 			want := t.rawFaceValue(raw, boxAnchor, k, j, l)
-			got := b.groups[j].prefix(l, &ops)
+			got := t.boxPrefix(b, k, j, l, &ops)
 			if got != want {
 				return fmt.Errorf("box at %v k=%d: group %d prefix(%v) = %d, want %d",
 					boxAnchor, k, j, l, got, want)

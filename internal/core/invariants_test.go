@@ -95,28 +95,65 @@ func TestInvariantsBulkBuild(t *testing.T) {
 	}
 }
 
+// TestInvariantsDetectCorruption corrupts the arena three ways — a box
+// record's subtotal, one flat group cell, and a box ref aliased onto
+// another box's cells — and requires CheckInvariants to name each.
 func TestInvariantsDetectCorruption(t *testing.T) {
-	tr, err := NewWithConfig([]int{8, 8}, Config{Tile: 1, Fanout: 3})
-	if err != nil {
-		t.Fatal(err)
+	build := func(backend string) *Tree {
+		t.Helper()
+		tr, err := NewWithConfig([]int{8, 8}, Config{Tile: 1, Fanout: 3, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []grid.Point{{2, 2}, {5, 1}, {1, 6}, {6, 6}} {
+			if err := tr.Set(p, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("before corruption: %v", err)
+		}
+		return tr
 	}
-	if err := tr.Set(grid.Point{2, 2}, 5); err != nil {
-		t.Fatal(err)
+	rootBoxes := func(tr *Tree) []boxRec {
+		return tr.ar.boxes.region(tr.node(tr.root).box, 0, 4)
 	}
-	// Corrupt a root box subtotal directly.
-	for _, b := range tr.root.boxes {
-		if b != nil {
-			b.sub += 3
+	expect := func(tr *Tree, what, want string) {
+		t.Helper()
+		err := tr.CheckInvariants()
+		if err == nil {
+			t.Fatalf("%s: corruption not detected", what)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: unexpected error: %v", what, err)
+		}
+	}
+
+	// A root box record's subtotal.
+	tr := build("")
+	for i, b := range rootBoxes(tr) {
+		if b.kind != boxAbsent {
+			rootBoxes(tr)[i].sub += 3
 			break
 		}
 	}
-	err = tr.CheckInvariants()
-	if err == nil {
-		t.Fatal("corruption not detected")
+	expect(tr, "subtotal", "subtotal")
+
+	// One cell of a flat group: the first in-block prefix of group 0,
+	// which the group's prefix at key 0 reads.
+	tr = build("blocked")
+	b := rootBoxes(tr)[0]
+	if b.kind != boxFlat {
+		t.Fatalf("blocked root box kind %d, want flat", b.kind)
 	}
-	if !strings.Contains(err.Error(), "subtotal") {
-		t.Fatalf("unexpected error: %v", err)
-	}
+	tr.ar.cells.region(b.ref, 0, 1)[0]++
+	expect(tr, "flat cell", "group 0 prefix")
+
+	// Two boxes sharing one cells region.
+	tr = build("blocked")
+	bs := rootBoxes(tr)
+	bs[3].ref = bs[0].ref
+	expect(tr, "aliased ref", "overlap")
 }
 
 func dimsOf(d, n int) []int {

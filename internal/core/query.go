@@ -29,7 +29,7 @@ func (t *Tree) Prefix(p grid.Point) int64 {
 // re-reading shared state.
 func (t *Tree) PrefixOps(p grid.Point) (int64, cube.OpCounter) {
 	var ops cube.OpCounter
-	v := t.prefixWithOps(p, &ops)
+	v := t.prefixWithOps(p, &ops, nil)
 	t.ops.AtomicAdd(ops)
 	return v, ops
 }
@@ -37,11 +37,23 @@ func (t *Tree) PrefixOps(p grid.Point) (int64, cube.OpCounter) {
 // prefixWithOps answers a prefix query, accumulating operation counts
 // into ops instead of the tree's shared counter. Nested group trees use
 // this entry point so an entire query merges its counts exactly once.
-func (t *Tree) prefixWithOps(p grid.Point, ops *cube.OpCounter) int64 {
-	if len(p) != t.d || (t.root == nil && len(t.pending) == 0) {
+//
+// When lv is non-nil the call also counts the outer tree's node visits
+// per recursion depth into *lv (grown as needed). Nested row-sum group
+// descents count into ops.NodeVisits as usual but not into lv — the
+// per-level profile tracks the Theorem 1 descent of the outer tree,
+// which the EXPLAIN budget check compares against one visit per level
+// per corner. Only the tracing path passes lv; the normal query path
+// never sets the level flag.
+func (t *Tree) prefixWithOps(p grid.Point, ops *cube.OpCounter, lv *[]uint64) int64 {
+	if len(p) != t.d || (t.root == noRec && len(t.pending) == 0) {
 		return 0
 	}
 	s := getQueryScratch(t.d)
+	if lv != nil {
+		s.lvOn = true
+		s.lv = s.lv[:0]
+	}
 	q := s.q
 	for i, v := range p {
 		v -= t.origin[i]
@@ -55,55 +67,21 @@ func (t *Tree) prefixWithOps(p grid.Point, ops *cube.OpCounter) int64 {
 		q[i] = v
 	}
 	var sum int64
-	if t.root != nil {
+	if t.root != noRec {
 		sum = t.prefixRec(s, t.root, t.zero, t.n, q, 0)
 	}
 	sum += t.pendingPrefix(q, &s.ops)
 	ops.Add(s.ops)
+	if lv != nil {
+		for i, n := range s.lv {
+			for len(*lv) <= i {
+				*lv = append(*lv, 0)
+			}
+			(*lv)[i] += n
+		}
+	}
 	putQueryScratch(s)
 	return sum
-}
-
-// prefixLevels is prefixWithOps additionally counting the outer tree's
-// node visits per recursion depth into lv (grown as needed and
-// returned). Nested row-sum group descents count into ops.NodeVisits as
-// usual but not into lv — the per-level profile tracks the Theorem 1
-// descent of the outer tree, which the EXPLAIN budget check compares
-// against one visit per level per corner. Only the tracing path pays
-// for this; the normal query path never sets the level flag.
-func (t *Tree) prefixLevels(p grid.Point, ops *cube.OpCounter, lv []uint64) (int64, []uint64) {
-	if len(p) != t.d || (t.root == nil && len(t.pending) == 0) {
-		return 0, lv
-	}
-	s := getQueryScratch(t.d)
-	s.lvOn = true
-	s.lv = s.lv[:0]
-	q := s.q
-	for i, v := range p {
-		v -= t.origin[i]
-		if v < 0 {
-			putQueryScratch(s)
-			return 0, lv
-		}
-		if v >= t.n {
-			v = t.n - 1
-		}
-		q[i] = v
-	}
-	var sum int64
-	if t.root != nil {
-		sum = t.prefixRec(s, t.root, t.zero, t.n, q, 0)
-	}
-	sum += t.pendingPrefix(q, &s.ops)
-	ops.Add(s.ops)
-	for i, n := range s.lv {
-		for len(lv) <= i {
-			lv = append(lv, 0)
-		}
-		lv[i] += n
-	}
-	putQueryScratch(s)
-	return sum, lv
 }
 
 // Levels returns the number of tree levels a query descent can touch:
@@ -120,28 +98,26 @@ func (t *Tree) Levels() int {
 }
 
 // prefixRec returns SUM over the region [anchor : min(q, anchor+ext-1)]
-// of the subtree rooted at nd. The caller guarantees q_i >= anchor_i for
-// every dimension (internal coordinates). anchor and q are read-only;
-// per-level buffers come from the call's depth-indexed query scratch, so
-// exactly one invocation per depth may be live — which holds because the
-// recursion descends one child (or one delegating box) at a time.
-func (t *Tree) prefixRec(s *queryScratch, nd *node, anchor grid.Point, ext int, q grid.Point, depth int) int64 {
-	if nd == nil {
-		return 0
-	}
-	s.ops.NodeVisits++
-	if s.lvOn {
-		for len(s.lv) <= depth {
-			s.lv = append(s.lv, 0)
-		}
-		s.lv[depth]++
-	}
+// of the subtree rooted at the node record nd. The caller guarantees
+// q_i >= anchor_i for every dimension (internal coordinates). anchor and
+// q are read-only; per-level buffers come from the call's depth-indexed
+// query scratch, so exactly one invocation per depth may be live — which
+// holds because the recursion descends one child (or one delegating
+// box) at a time.
+func (t *Tree) prefixRec(s *queryScratch, nd int32, anchor grid.Point, ext int, q grid.Point, depth int) int64 {
+	ar := t.ar
+	n := ar.nodes.at(nd)
 	if ext == t.cfg.Tile {
-		return t.leafPrefix(s, nd, anchor, q, depth)
+		if n.leaf < 0 {
+			return 0
+		}
+		s.visit(depth)
+		return t.leafPrefix(s, n.leaf, anchor, q, depth)
 	}
-	if nd.boxes == nil {
+	if n.box < 0 {
 		return 0
 	}
+	s.visit(depth)
 	fr := s.frame(depth, t.d)
 	boxAnchor, l := fr.boxAnchor, fr.l
 	k := ext / 2
@@ -173,21 +149,22 @@ func (t *Tree) prefixRec(s *queryScratch, nd *node, anchor grid.Point, ext int, 
 		if before {
 			continue // box precedes the target region: contributes 0
 		}
-		b := nd.boxes[ci]
+		b := ar.boxes.at(n.box + int32(ci))
 		switch {
 		case afterAll:
 			// Target region includes the whole box: the subtotal cell.
-			if b != nil {
+			if b.kind != boxAbsent {
 				sum += b.sub
 				s.ops.QueryCells++
 				s.ops.Contribs[KindSubtotal]++
 			}
 		case faceDim >= 0:
 			// Partial intersection: one row sum value (Section 3.1).
-			if b == nil {
-				break
-			}
-			if b.delegate {
+			switch b.kind {
+			case boxFlat, boxSide:
+				s.ops.Contribs[KindRowSum]++
+				sum += t.boxPrefix(b, k, faceDim, dropDimInto(fr.drop, l, faceDim), &s.ops)
+			case boxDelegate:
 				// Growth left this box without materialised groups:
 				// answer through the child subtree (Section 5).
 				s.ops.Contribs[KindDelegated]++
@@ -195,26 +172,22 @@ func (t *Tree) prefixRec(s *queryScratch, nd *node, anchor grid.Point, ext int, 
 				for i := 0; i < t.d; i++ {
 					qq[i] = boxAnchor[i] + l[i]
 				}
-				sum += t.prefixRec(s, nd.children[ci], boxAnchor, k, qq, depth+1)
-				break
+				sum += t.prefixRec(s, n.child+int32(ci), boxAnchor, k, qq, depth+1)
 			}
-			s.ops.Contribs[KindRowSum]++
-			sum += b.groups[faceDim].prefix(dropDimInto(fr.drop, l, faceDim), &s.ops)
 		default:
 			// The box covers the target cell: descend (Theorem 1 —
 			// exactly one child per level).
-			sum += t.prefixRec(s, nd.children[ci], boxAnchor, k, q, depth+1)
+			sum += t.prefixRec(s, n.child+int32(ci), boxAnchor, k, q, depth+1)
 		}
 	}
 	return sum
 }
 
-// leafPrefix sums the raw cells of a leaf tile inside the target region.
-func (t *Tree) leafPrefix(s *queryScratch, nd *node, anchor, q grid.Point, depth int) int64 {
-	if nd.leaf == nil {
-		return 0
-	}
+// leafPrefix sums the raw cells of the leaf tile at address leaf inside
+// the target region.
+func (t *Tree) leafPrefix(s *queryScratch, leaf int32, anchor, q grid.Point, depth int) int64 {
 	s.ops.Contribs[KindLeaf]++
+	cells := t.ar.leaves.region(leaf, 0, t.leafCells)
 	fr := s.frame(depth, t.d)
 	tile := t.cfg.Tile
 	hi := fr.hi
@@ -234,7 +207,7 @@ func (t *Tree) leafPrefix(s *queryScratch, nd *node, anchor, q grid.Point, depth
 		for i := 0; i < t.d; i++ {
 			off = off*tile + idx[i]
 		}
-		sum += nd.leaf[off]
+		sum += cells[off]
 		s.ops.QueryCells++
 		i := t.d - 1
 		for ; i >= 0; i-- {
@@ -269,7 +242,7 @@ type prefixOracle struct {
 
 var prefixOraclePool = sync.Pool{New: func() interface{} { return new(prefixOracle) }}
 
-func (o *prefixOracle) Prefix(p grid.Point) int64 { return o.t.prefixWithOps(p, &o.ops) }
+func (o *prefixOracle) Prefix(p grid.Point) int64 { return o.t.prefixWithOps(p, &o.ops, nil) }
 
 // LowerBound implements grid.LowerBounded: a corner with any coordinate
 // below the tree's logical origin dominates an empty region, so the
@@ -330,7 +303,7 @@ func (t *Tree) Get(p grid.Point) int64 {
 		return 0
 	}
 	var v int64
-	if t.root != nil {
+	if t.root != noRec {
 		s := getQueryScratch(t.d)
 		v = t.getWithScratch(s, p)
 		putQueryScratch(s)
@@ -342,6 +315,9 @@ func (t *Tree) Get(p grid.Point) int64 {
 }
 
 func (t *Tree) getWithScratch(s *queryScratch, p grid.Point) int64 {
+	if t.root == noRec {
+		return 0
+	}
 	q := s.q
 	for i, v := range p {
 		v -= t.origin[i]
@@ -350,14 +326,14 @@ func (t *Tree) getWithScratch(s *queryScratch, p grid.Point) int64 {
 		}
 		q[i] = v
 	}
-	nd := t.root
+	n := t.node(t.root)
 	anchor := s.frame(0, t.d).boxAnchor
 	for i := range anchor {
 		anchor[i] = 0
 	}
 	ext := t.n
 	for ext > t.cfg.Tile {
-		if nd == nil || nd.children == nil {
+		if n.box < 0 {
 			return 0
 		}
 		k := ext / 2
@@ -368,15 +344,15 @@ func (t *Tree) getWithScratch(s *queryScratch, p grid.Point) int64 {
 				anchor[i] += k
 			}
 		}
-		nd = nd.children[ci]
+		n = t.node(n.child + int32(ci))
 		ext = k
 	}
-	if nd == nil || nd.leaf == nil {
+	if n.leaf < 0 {
 		return 0
 	}
 	off := 0
 	for i := 0; i < t.d; i++ {
 		off = off*t.cfg.Tile + (q[i] - anchor[i])
 	}
-	return nd.leaf[off]
+	return t.ar.leaves.region(n.leaf, 0, t.leafCells)[off]
 }

@@ -116,9 +116,7 @@ func (t *Tree) FlushPending() {
 	q := t.pbuf
 	for _, b := range boxes {
 		grid.ForEachInBox(b.lo, b.hi, func(p grid.Point) {
-			if t.root == nil {
-				t.root = &node{}
-			}
+			t.ensureRoot()
 			for i := range q {
 				q[i] = p[i] - t.origin[i]
 			}

@@ -87,6 +87,17 @@ func getQueryScratch(d int) *queryScratch {
 
 func putQueryScratch(s *queryScratch) { qsPool.Put(s) }
 
+// visit counts one outer-tree node visit at the given depth.
+func (s *queryScratch) visit(depth int) {
+	s.ops.NodeVisits++
+	if s.lvOn {
+		for len(s.lv) <= depth {
+			s.lv = append(s.lv, 0)
+		}
+		s.lv[depth]++
+	}
+}
+
 // frame returns the buffers for one recursion depth. Pooled states are
 // shared across trees of different dimensionality, so a frame whose
 // buffers are too small for d is reallocated; larger buffers are

@@ -10,25 +10,24 @@ import (
 // is allocated lazily, this is proportional to the data for sparse and
 // clustered cubes — the property Section 5 argues for.
 func (t *Tree) StorageCells() int {
-	return storageRec(t.root)
-}
-
-func storageRec(nd *node) int {
-	if nd == nil {
+	if t.root == noRec {
 		return 0
 	}
-	c := len(nd.leaf)
-	for _, b := range nd.boxes {
-		if b == nil {
-			continue
-		}
-		c++ // the subtotal cell
-		for _, g := range b.groups {
-			c += g.storageCells()
-		}
+	return t.storageRec(t.root, t.n)
+}
+
+func (t *Tree) storageRec(nd int32, ext int) int {
+	n := t.node(nd)
+	if n.leaf >= 0 {
+		return t.leafCells
 	}
-	for _, ch := range nd.children {
-		c += storageRec(ch)
+	if n.box < 0 {
+		return 0
+	}
+	c := 0
+	for ci := int32(0); ci < 1<<uint(t.d); ci++ {
+		c += t.boxStorage(t.ar.boxes.at(n.box+ci), ext/2)
+		c += t.storageRec(n.child+ci, ext/2)
 	}
 	return c
 }
@@ -51,7 +50,7 @@ func (t *Tree) ForEachNonZero(fn func(p grid.Point, v int64)) {
 func (t *Tree) ForEachNonZeroUntil(fn func(p grid.Point, v int64) bool) bool {
 	logical := make(grid.Point, t.d)
 	merged := len(t.pending) != 0
-	cont := t.forEachNonZeroRec(t.root, make(grid.Point, t.d), t.n, func(q grid.Point, v int64) bool {
+	cont := t.forEachInRangeRec(t.ar, t.root, make(grid.Point, t.d), t.n, nil, nil, func(q grid.Point, v int64) bool {
 		for i := 0; i < t.d; i++ {
 			logical[i] = q[i] + t.origin[i]
 		}
@@ -66,63 +65,6 @@ func (t *Tree) ForEachNonZeroUntil(fn func(p grid.Point, v int64) bool) bool {
 		return false
 	}
 	return t.forEachPendingOnlyUntil(nil, nil, fn)
-}
-
-// forEachNonZeroRec walks leaf tiles below nd, reporting internal
-// coordinates; fn returning false stops the walk. Reports whether the
-// walk ran to completion.
-func (t *Tree) forEachNonZeroRec(nd *node, anchor grid.Point, ext int, fn func(p grid.Point, v int64) bool) bool {
-	if nd == nil {
-		return true
-	}
-	if ext == t.cfg.Tile {
-		if nd.leaf == nil {
-			return true
-		}
-		p := make(grid.Point, t.d)
-		idx := make([]int, t.d)
-		for off := 0; ; {
-			if v := nd.leaf[off]; v != 0 {
-				for i := 0; i < t.d; i++ {
-					p[i] = anchor[i] + idx[i]
-				}
-				if !fn(p, v) {
-					return false
-				}
-			}
-			i := t.d - 1
-			for ; i >= 0; i-- {
-				idx[i]++
-				if idx[i] < t.cfg.Tile {
-					break
-				}
-				idx[i] = 0
-			}
-			if i < 0 {
-				return true
-			}
-			off = 0
-			for j := 0; j < t.d; j++ {
-				off = off*t.cfg.Tile + idx[j]
-			}
-		}
-	}
-	k := ext / 2
-	for ci, ch := range nd.children {
-		if ch == nil {
-			continue
-		}
-		childAnchor := anchor.Clone()
-		for i := 0; i < t.d; i++ {
-			if ci&(1<<uint(i)) != 0 {
-				childAnchor[i] += k
-			}
-		}
-		if !t.forEachNonZeroRec(ch, childAnchor, k, fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // forEachPendingOnlyUntil yields, in logical coordinates, every cell
@@ -205,51 +147,56 @@ func (t *Tree) TreeStats() Stats {
 		s.Height++
 	}
 	s.Height++ // the leaf-tile level
-	statsRec(t.root, &s)
+	if t.root != noRec {
+		t.statsRec(t.root, &s)
+	}
 	return s
 }
 
-func statsRec(nd *node, s *Stats) {
-	if nd == nil {
+func (t *Tree) statsRec(nd int32, s *Stats) {
+	n := t.node(nd)
+	if n.absent() {
 		return
 	}
 	s.Nodes++
-	if nd.leaf != nil {
+	if n.leaf >= 0 {
 		s.LeafTiles++
+		return
 	}
-	for _, b := range nd.boxes {
-		if b == nil {
-			continue
-		}
-		s.Boxes++
-		if b.delegate {
+	for ci := int32(0); ci < 1<<uint(t.d); ci++ {
+		switch t.ar.boxes.at(n.box + ci).kind {
+		case boxAbsent:
+		case boxDelegate:
+			s.Boxes++
 			s.Delegates++
+		default:
+			s.Boxes++
 		}
-	}
-	for _, ch := range nd.children {
-		statsRec(ch, s)
+		t.statsRec(n.child+ci, s)
 	}
 }
 
-// Compact rebuilds the tree from its nonzero cells, releasing storage
-// retained for cells that have returned to zero (leaf tiles, B_c
-// entries, group nodes). Long-running cubes with churn (values set and
-// later zeroed) call this at quiet moments; bounds and configuration
-// are preserved and every query answers identically afterwards.
+// Compact rebuilds the tree from its nonzero cells into a fresh arena,
+// releasing storage retained for cells that have returned to zero (leaf
+// tiles, B_c entries, group nodes) and the slack of the old slabs.
+// Long-running cubes with churn (values set and later zeroed) call this
+// at quiet moments; bounds and configuration are preserved and every
+// query answers identically afterwards.
 func (t *Tree) Compact() {
 	t.FlushPending()
 	t.bumpEpoch()
-	old := t.root
-	oldN := t.n
-	t.root = nil
-	// Re-add every nonzero cell into a fresh tree with the same bounds.
+	old, oldRoot := t.ar, t.root
+	t.ar, t.root = &arena{}, noRec
+	if oldRoot == noRec {
+		return
+	}
+	// Re-add every nonzero cell into the fresh arena with the same
+	// bounds.
 	q := make(grid.Point, t.d)
 	var ops cube.OpCounter
-	t.forEachNonZeroRec(old, make(grid.Point, t.d), oldN, func(p grid.Point, v int64) bool {
+	t.forEachInRangeRec(old, oldRoot, make(grid.Point, t.d), t.n, nil, nil, func(p grid.Point, v int64) bool {
 		copy(q, p)
-		if t.root == nil {
-			t.root = &node{}
-		}
+		t.ensureRoot()
 		t.addRec(&ops, t.root, t.zero, t.n, q, v, 0)
 		return true
 	})
@@ -279,7 +226,7 @@ func (t *Tree) ForEachNonZeroInRangeUntil(lo, hi grid.Point, fn func(p grid.Poin
 	ihi := t.internalize(hi)
 	logical := make(grid.Point, t.d)
 	merged := len(t.pending) != 0
-	cont := t.forEachInRangeRec(t.root, make(grid.Point, t.d), t.n, ilo, ihi, func(q grid.Point, v int64) bool {
+	cont := t.forEachInRangeRec(t.ar, t.root, make(grid.Point, t.d), t.n, ilo, ihi, func(q grid.Point, v int64) bool {
 		for i := 0; i < t.d; i++ {
 			logical[i] = q[i] + t.origin[i]
 		}
@@ -296,28 +243,38 @@ func (t *Tree) ForEachNonZeroInRangeUntil(lo, hi grid.Point, fn func(p grid.Poin
 	return nil
 }
 
-func (t *Tree) forEachInRangeRec(nd *node, anchor grid.Point, ext int, lo, hi grid.Point, fn func(p grid.Point, v int64) bool) bool {
-	if nd == nil {
+// forEachInRangeRec walks the nonzero cells below the record nd of
+// arena ar inside the inclusive internal box [lo, hi] (nil bounds mean
+// the whole subtree), pruning subtrees disjoint from it and reporting
+// internal coordinates; fn returning false stops the walk. Reports
+// whether the walk ran to completion. The arena is a parameter so
+// Compact can walk the old structure while filling a fresh one.
+func (t *Tree) forEachInRangeRec(ar *arena, nd int32, anchor grid.Point, ext int, lo, hi grid.Point, fn func(p grid.Point, v int64) bool) bool {
+	if nd == noRec {
+		return true
+	}
+	n := ar.nodes.at(nd)
+	if n.absent() {
 		return true
 	}
 	// Prune regions disjoint from the box.
-	for i := 0; i < t.d; i++ {
-		if anchor[i] > hi[i] || anchor[i]+ext-1 < lo[i] {
-			return true
+	if lo != nil {
+		for i := 0; i < t.d; i++ {
+			if anchor[i] > hi[i] || anchor[i]+ext-1 < lo[i] {
+				return true
+			}
 		}
 	}
 	if ext == t.cfg.Tile {
-		if nd.leaf == nil {
-			return true
-		}
+		leaf := ar.leaves.region(n.leaf, 0, t.leafCells)
 		p := make(grid.Point, t.d)
 		idx := make([]int, t.d)
 		for off := 0; ; {
-			if v := nd.leaf[off]; v != 0 {
+			if v := leaf[off]; v != 0 {
 				in := true
 				for i := 0; i < t.d; i++ {
 					p[i] = anchor[i] + idx[i]
-					if p[i] < lo[i] || p[i] > hi[i] {
+					if lo != nil && (p[i] < lo[i] || p[i] > hi[i]) {
 						in = false
 						break
 					}
@@ -344,17 +301,14 @@ func (t *Tree) forEachInRangeRec(nd *node, anchor grid.Point, ext int, lo, hi gr
 		}
 	}
 	k := ext / 2
-	for ci, ch := range nd.children {
-		if ch == nil {
-			continue
-		}
+	for ci := 0; ci < 1<<uint(t.d); ci++ {
 		childAnchor := anchor.Clone()
 		for i := 0; i < t.d; i++ {
 			if ci&(1<<uint(i)) != 0 {
 				childAnchor[i] += k
 			}
 		}
-		if !t.forEachInRangeRec(ch, childAnchor, k, lo, hi, fn) {
+		if !t.forEachInRangeRec(ar, n.child+int32(ci), childAnchor, k, lo, hi, fn) {
 			return false
 		}
 	}

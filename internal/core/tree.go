@@ -8,10 +8,18 @@
 // the paper-exact B_c tree of Section 4.1 (internal/bctree); the blocked
 // backends trade its pointer-linked sparsity for flat cache-line layouts
 // (Config.Backend selects one per tree; the default, auto, picks classic
-// or blocked per group from the group's own density). A box stores its
-// d groups by value, each holding either the backend or the nested
-// cube, so the two-dimensional read that dominates a query goes from
-// the box to the backend with no adapter in between.
+// or blocked per group from the group's own density).
+//
+// The tree holds no pointers between its parts. Nodes, overlay boxes,
+// flat row-sum groups and leaf tiles live in per-tree slabs (arena.go)
+// and name each other by int32 address: a node record names its block
+// of 2^d children and its block of 2^d box records, a box record holds
+// the subtotal and the address of its groups. A d = 2 box whose groups
+// both hold the flat layout keeps them back to back in the cells slab
+// and is read by offset through psum's flat kernel, so a row-sum read
+// touches the node record, the box record and the cells and nothing
+// else; other groups (the classic and blockfenwick backends, auto
+// groups still sparse, nested cubes when d > 2) sit in a side table.
 //
 // Beyond the core structure the package implements the paper's
 // engineering extensions:
@@ -121,7 +129,13 @@ type Tree struct {
 	origin grid.Point // logical coordinate of internal cell (0,...,0)
 	n      int        // padded side (power of two), common to all dims
 	grown  bool       // true once Grow has been called
-	root   *node
+
+	// ar holds every record and cell of the tree (shared with nested
+	// group trees); root addresses the root node record, noRec while
+	// the tree is empty. leafCells is tile^d, the size of a leaf tile.
+	ar        *arena
+	root      int32
+	leafCells int
 
 	// ops accumulates operation counts; nested group trees share it.
 	// All merges into it are atomic (per-call counters accumulate the
@@ -170,31 +184,15 @@ func (t *Tree) bumpEpoch() { t.epoch.Add(1) }
 // unchanged tree.
 func (t *Tree) InvalidatePrefixCache() { t.bumpEpoch() }
 
-// node is one tree node; a nil node (or child) is an all-zero region.
-type node struct {
-	boxes    []*box  // 2^d overlay boxes, lazily allocated
-	children []*node // 2^d children, lazily allocated
-	leaf     []int64 // leaf tile payload (tile^d raw values), leaves only
-}
-
-// box holds one overlay box's values: the subtotal scalar and the d
-// row-sum groups. A delegating box (Section 5 growth) has groups == nil
-// and answers face values through its child subtree.
-type box struct {
-	sub      int64
-	groups   []group
-	delegate bool
-}
-
-// group stores one (d-1)-dimensional set of row sums G_j and answers its
-// prefix sums — the recursive storage of Section 4.2. Exactly one field
-// is set: ps, the one-dimensional prefix-sum backend in the B_c slot,
-// when d = 2, and tr, a nested (d-1)-dimensional cube sharing the
-// parent's operation counter, when d > 2. Groups are stored by value in
-// box.groups, so a d = 2 row-sum read goes from the box straight to the
-// backend. Operation counts flow through the caller's per-call counter
-// so reads write no shared state and whole operations merge their
-// counts exactly once.
+// group stores one (d-1)-dimensional set of row sums G_j that is not
+// held flat in the cells slab, and answers its prefix sums — the
+// recursive storage of Section 4.2. Groups live in the arena's side
+// table. Exactly one field is set: ps, the one-dimensional prefix-sum
+// backend in the B_c slot, when d = 2, and tr, a nested
+// (d-1)-dimensional cube sharing the parent's arena and operation
+// counter, when d > 2. Operation counts flow through the caller's
+// per-call counter so reads write no shared state and whole operations
+// merge their counts exactly once.
 type group struct {
 	ps psum.Backend
 	tr *Tree
@@ -220,28 +218,46 @@ func NewWithConfig(dims []int, cfg Config) (*Tree, error) {
 			n = p
 		}
 	}
+	leafCells := 1
+	for range dims {
+		leafCells *= cfg.Tile
+	}
 	ops := &cube.OpCounter{}
 	return &Tree{
-		d:      len(dims),
-		cfg:    cfg,
-		dims:   append([]int(nil), dims...),
-		origin: make(grid.Point, len(dims)),
-		n:      n,
-		ops:    ops,
-		zero:   make(grid.Point, len(dims)),
-		pbuf:   make(grid.Point, len(dims)),
+		d:         len(dims),
+		cfg:       cfg,
+		dims:      append([]int(nil), dims...),
+		origin:    make(grid.Point, len(dims)),
+		n:         n,
+		ar:        &arena{},
+		root:      noRec,
+		leafCells: leafCells,
+		ops:       ops,
+		zero:      make(grid.Point, len(dims)),
+		pbuf:      make(grid.Point, len(dims)),
 	}, nil
 }
 
 // newNested returns a tree used as a (d-1)-dimensional group store,
-// sharing the parent's operation counter.
-func newNested(dims []int, cfg Config, ops *cube.OpCounter) *Tree {
+// sharing the parent's arena and operation counter.
+func newNested(dims []int, cfg Config, ar *arena, ops *cube.OpCounter) *Tree {
 	t, err := NewWithConfig(dims, cfg)
 	if err != nil {
 		panic(err) // dims are internally generated powers of two
 	}
-	t.ops = ops
+	t.ar, t.ops = ar, ops
 	return t
+}
+
+// node returns the record at address a.
+func (t *Tree) node(a int32) *nodeRec { return t.ar.nodes.at(a) }
+
+// ensureRoot gives an empty tree its (absent) root record, which
+// updates then fill in place.
+func (t *Tree) ensureRoot() {
+	if t.root == noRec {
+		t.root = t.ar.newRecord(absentNode)
+	}
 }
 
 // FromArray builds a cube holding the contents of a by replaying its
@@ -343,19 +359,21 @@ func (t *Tree) internalize(p grid.Point) grid.Point {
 // Total returns the sum of every cell in O(2^d + pending).
 func (t *Tree) Total() int64 {
 	s := t.pendingTotal()
-	if t.root == nil {
+	if t.root == noRec {
 		return s
 	}
-	if t.root.leaf != nil {
-		for _, v := range t.root.leaf {
+	n := t.node(t.root)
+	if n.leaf >= 0 {
+		for _, v := range t.ar.leaves.region(n.leaf, 0, t.leafCells) {
 			s += v
 		}
 		return s
 	}
-	for _, b := range t.root.boxes {
-		if b != nil {
-			s += b.sub
-		}
+	if n.box < 0 {
+		return s
+	}
+	for ci := 0; ci < 1<<uint(t.d); ci++ {
+		s += t.ar.boxes.at(n.box + int32(ci)).sub
 	}
 	return s
 }

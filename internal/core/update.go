@@ -51,9 +51,7 @@ func (t *Tree) addWithOps(p grid.Point, delta int64, ops *cube.OpCounter) error 
 	if delta == 0 {
 		return nil
 	}
-	if t.root == nil {
-		t.root = &node{}
-	}
+	t.ensureRoot()
 	q := t.pbuf
 	for i := range q {
 		q[i] = p[i] - t.origin[i]
@@ -86,29 +84,28 @@ func (t *Tree) SetOps(p grid.Point, value int64) (cube.OpCounter, error) {
 // addRec descends the covering child of every level (Figure 12), adding
 // the difference to the covering box's subtotal and performing one point
 // update in each of its d row-sum groups — O(d log^{d-1} k) per level.
-// anchor and q are read-only; see prefixRec for the scratch discipline
-// (updates use the tree's own scratch, which exclusivity makes sound).
-func (t *Tree) addRec(ops *cube.OpCounter, nd *node, anchor grid.Point, ext int, q grid.Point, delta int64, depth int) {
+// Records and leaf tiles are allocated on the way down; pages never
+// move, so the record pointers held across those allocations stay
+// valid. anchor and q are read-only; see prefixRec for the scratch
+// discipline (updates use the tree's own scratch, which exclusivity
+// makes sound).
+func (t *Tree) addRec(ops *cube.OpCounter, nd int32, anchor grid.Point, ext int, q grid.Point, delta int64, depth int) {
 	ops.NodeVisits++
+	n := t.node(nd)
 	if ext == t.cfg.Tile {
-		if nd.leaf == nil {
-			sz := 1
-			for i := 0; i < t.d; i++ {
-				sz *= t.cfg.Tile
-			}
-			nd.leaf = make([]int64, sz)
+		if n.leaf < 0 {
+			n.leaf = t.ar.leaves.alloc(t.leafCells)
 		}
 		off := 0
 		for i := 0; i < t.d; i++ {
 			off = off*t.cfg.Tile + (q[i] - anchor[i])
 		}
-		nd.leaf[off] += delta
+		t.ar.leaves.region(n.leaf, 0, t.leafCells)[off] += delta
 		ops.UpdateCells++
 		return
 	}
-	if nd.boxes == nil {
-		nd.boxes = make([]*box, 1<<uint(t.d))
-		nd.children = make([]*node, 1<<uint(t.d))
+	if n.box < 0 {
+		*n = t.ar.newBlock(1 << uint(t.d))
 	}
 	fr := t.scr.frame(depth, t.d)
 	k := ext / 2
@@ -121,27 +118,18 @@ func (t *Tree) addRec(ops *cube.OpCounter, nd *node, anchor grid.Point, ext int,
 			childAnchor[i] += k
 		}
 	}
-	b := nd.boxes[ci]
-	if b == nil {
-		b = &box{groups: t.makeGroups(k)}
-		nd.boxes[ci] = b
+	b := t.ar.boxes.at(n.box + int32(ci))
+	if b.kind == boxAbsent {
+		t.initBox(b, k)
 	}
 	b.sub += delta
 	ops.UpdateCells++
-	if !b.delegate {
+	if b.kind != boxDelegate {
 		o := fr.o
 		for i := 0; i < t.d; i++ {
 			o[i] = q[i] - childAnchor[i]
 		}
-		for j := range b.groups {
-			// The updated cell changes row o_{-j} of group j by delta.
-			b.groups[j].add(dropDimInto(fr.drop, o, j), delta, ops)
-		}
+		t.boxAdd(b, k, o, delta, fr.drop, ops)
 	}
-	child := nd.children[ci]
-	if child == nil {
-		child = &node{}
-		nd.children[ci] = child
-	}
-	t.addRec(ops, child, childAnchor, k, q, delta, depth+1)
+	t.addRec(ops, n.child+int32(ci), childAnchor, k, q, delta, depth+1)
 }

@@ -25,25 +25,29 @@ type auto struct {
 // key count reaches half its universe (universe>>autoDenseShift,
 // rounded up).
 //
-// The threshold is set on live bytes, not cells. Measured with
+// The threshold is set on live bytes, not cells, as a group costs them
+// inside internal/core: a sparse group is its auto struct, its B-tree
+// and a 24-byte side-table slot; a flat group is only its cells in the
+// tree's cell slab (no auto struct, no slice header). Measured with
 // runtime.MemStats over 2000 auto groups in each phase (fanout 16,
-// random keys, amd64), bytes per group, the 48-byte auto struct
-// included:
+// random keys, amd64), bytes per group:
 //
 //	universe  keys  sparse (Adds)  sparse (bulk)  flat
-//	    16       8          301            320     208
-//	    32      16          448            448     368
-//	    64      32         1593            976     688
-//	   256     128         5343           3328    2736
-//	  1024     256        11031           6464    9520
-//	  1024     512        21337          13008    9520
+//	    16       8          341            360     152
+//	    32      16          488            485     296
+//	    64      32         1629           1013     584
+//	   256     128         5376           3365    2344
+//	  1024     256        11064           6501    9368
+//	  1024     512        21414          13045    9368
 //
 // A sparse group costs about 41 bytes per key when built by Adds and
-// 25 when bulk-built; a flat one about 9.3 bytes per universe slot
+// 25 when bulk-built; a flat one about 9.1 bytes per universe slot
 // (8/7 int64 cells). At a quarter of the universe a bulk-built B-tree
-// is still the smaller; at half, the flat layout is 18-57% smaller at
-// every universe measured. StorageCells counts only int64 cells — it
-// omits the B-tree's keys and pointers — so a promoted group may
+// is still the smaller; at half, the flat layout is 28-58% smaller at
+// every universe measured, so the break-even stays at half. (A group
+// promoted while its box's other group is still sparse keeps its auto
+// struct until both are flat.) StorageCells counts only int64 cells —
+// it omits the B-tree's keys and pointers — so a promoted group may
 // report more cells while holding fewer bytes.
 const autoDenseShift = 1
 
@@ -65,13 +69,7 @@ func sparseAuto(c classic) *auto {
 // count, so bulk builds and snapshot loads never build the B-tree only
 // to promote it.
 func autoFromSlice(values []int64, fanout int) *auto {
-	nonzero := 0
-	for _, v := range values {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	if dense(nonzero, len(values)) {
+	if BuildsFlat(Auto, values) {
 		return &auto{bl: blockedFromSlice(values)}
 	}
 	return sparseAuto(classicFromSlice(values, fanout))
@@ -85,7 +83,7 @@ func (a *auto) sparse() *classic { return &classic{tr: a.tr, m: a.bl.m} }
 func (a *auto) promote() {
 	b := makeBlocked(a.bl.m)
 	a.tr.ForEach(func(k int, v int64) { b.cells[k] = v })
-	b.fold()
+	FlatFold(b.cells, b.m)
 	a.tr, a.bl = nil, b
 }
 

@@ -33,45 +33,86 @@ const (
 	bbMask  = 1<<bbShift - 1 // within-block index mask
 )
 
-// blocked is held by value inside auto, so an auto group reaches its
-// cells through one slice header with no pointer in between.
-type blocked struct {
-	m     int     // universe (exclusive key bound); level 0's size
-	cells []int64 // every level back to back, level 0 first
-}
+// The flat kernel: FlatSize, FlatPrefix, FlatAdd and FlatFold operate
+// on one layout held in a caller-owned []int64 of exactly
+// FlatSize(universe) cells. blocked wraps them around its own slice;
+// internal/core calls them directly on regions of its per-tree cell
+// slab, so the layout and its arithmetic exist once.
 
-// makeBlocked returns an all-zero layout over [0, universe).
-func makeBlocked(universe int) blocked {
-	if universe < 1 {
-		universe = 1
-	}
+// FlatSize returns the number of cells the flat layout over
+// [0, universe) occupies: level 0 plus every level above it, < 8/7 of
+// the universe. A universe below 1 is treated as 1.
+func FlatSize(universe int) int {
+	universe = max(universe, 1)
 	n := universe
 	for size := universe; size > 1; {
 		size = nextLevel(size)
 		n += size
 	}
-	return blocked{m: universe, cells: make([]int64, n)}
+	return n
 }
 
 // nextLevel returns the size of the level above one of the given size:
 // one cell per (possibly partial) 8-cell block.
 func nextLevel(size int) int { return (size + bbMask) >> bbShift }
 
-// blockedFromSlice bulk-builds in one bottom-up pass over the raw
-// values.
-func blockedFromSlice(values []int64) blocked {
-	t := makeBlocked(len(values))
-	copy(t.cells, values)
-	t.fold()
-	return t
+// FlatPrefix returns the sum of the raw values with index <= key in the
+// flat layout cells over [0, universe), and the number of cells it
+// read. Negative keys yield 0; keys at or beyond the universe yield the
+// total (one read).
+func FlatPrefix(cells []int64, universe, key int) (int64, uint64) {
+	if key < 0 {
+		return 0, 0
+	}
+	if key >= universe {
+		return cells[len(cells)-1], 1
+	}
+	var s int64
+	var visits uint64
+	for i, off, size := key+1, 0, universe; i > 0; i >>= bbShift {
+		// The i&7 leading cells of the block containing i contribute
+		// their in-block prefix, cell i-1; i&7 == 0 contributes nothing.
+		if i&bbMask != 0 {
+			s += cells[off+i-1]
+			visits++
+		}
+		off += size
+		size = nextLevel(size)
+	}
+	return s, visits
 }
 
-// fold turns level 0, freshly filled with raw values, into in-block
-// running prefixes in place and recomputes every upper level — one
-// bottom-up pass with no intermediate slice, shared by the bulk-build,
-// grow and auto-promotion paths.
-func (t *blocked) fold() {
-	lvl := t.cells[:t.m]
+// FlatAdd adds delta to the raw value at key (keys outside
+// [0, universe) and a zero delta are ignored) and returns the number of
+// cells written.
+func FlatAdd(cells []int64, universe, key int, delta int64) uint64 {
+	if key < 0 || key >= universe || delta == 0 {
+		return 0
+	}
+	var writes uint64
+	for i, off, size := key, 0, universe; ; i >>= bbShift {
+		// The containing block's in-block prefixes from the key's offset
+		// to the block end all cover the key: a contiguous suffix write
+		// inside one cache line.
+		end := min((i|bbMask)+1, size)
+		writes += uint64(end - i)
+		for j := off + i; j < off+end; j++ {
+			cells[j] += delta
+		}
+		if size == 1 {
+			return writes
+		}
+		off += size
+		size = nextLevel(size)
+	}
+}
+
+// FlatFold turns level 0 of cells, freshly filled with raw values, into
+// in-block running prefixes in place and recomputes every upper level —
+// one bottom-up pass with no intermediate slice, shared by the
+// bulk-build, grow and promotion paths.
+func FlatFold(cells []int64, universe int) {
+	lvl := cells[:universe]
 	var run int64
 	for j, v := range lvl {
 		if j&bbMask == 0 {
@@ -83,7 +124,7 @@ func (t *blocked) fold() {
 	for off := 0; len(lvl) > 1; {
 		prev := lvl
 		off += len(prev)
-		lvl = t.cells[off : off+nextLevel(len(prev))]
+		lvl = cells[off : off+nextLevel(len(prev))]
 		var run int64
 		for j := range lvl {
 			if j&bbMask == 0 {
@@ -97,53 +138,39 @@ func (t *blocked) fold() {
 	}
 }
 
+// blocked is held by value inside auto, so an auto group reaches its
+// cells through one slice header with no pointer in between.
+type blocked struct {
+	m     int     // universe (exclusive key bound); level 0's size
+	cells []int64 // every level back to back, level 0 first
+}
+
+// makeBlocked returns an all-zero layout over [0, universe).
+func makeBlocked(universe int) blocked {
+	universe = max(universe, 1)
+	return blocked{m: universe, cells: make([]int64, FlatSize(universe))}
+}
+
+// blockedFromSlice bulk-builds in one bottom-up pass over the raw
+// values.
+func blockedFromSlice(values []int64) blocked {
+	t := makeBlocked(len(values))
+	copy(t.cells, values)
+	FlatFold(t.cells, t.m)
+	return t
+}
+
 func (t *blocked) PrefixSum(key int) int64 {
 	v, _ := t.PrefixSumVisits(key)
 	return v
 }
 
 func (t *blocked) PrefixSumVisits(key int) (int64, uint64) {
-	if key < 0 {
-		return 0, 0
-	}
-	if key >= t.m {
-		return t.Total(), 1
-	}
-	var s int64
-	var visits uint64
-	for i, off, size := key+1, 0, t.m; i > 0; i >>= bbShift {
-		// The i&7 leading cells of the block containing i contribute
-		// their in-block prefix, cell i-1; i&7 == 0 contributes nothing.
-		if i&bbMask != 0 {
-			s += t.cells[off+i-1]
-			visits++
-		}
-		off += size
-		size = nextLevel(size)
-	}
-	return s, visits
+	return FlatPrefix(t.cells, t.m, key)
 }
 
 func (t *blocked) Add(key int, delta int64) uint64 {
-	if key < 0 || key >= t.m || delta == 0 {
-		return 0
-	}
-	var writes uint64
-	for i, off, size := key, 0, t.m; ; i >>= bbShift {
-		// The containing block's in-block prefixes from the key's offset
-		// to the block end all cover the key: a contiguous suffix write
-		// inside one cache line.
-		end := min((i|bbMask)+1, size)
-		writes += uint64(end - i)
-		for j := off + i; j < off+end; j++ {
-			t.cells[j] += delta
-		}
-		if size == 1 {
-			return writes
-		}
-		off += size
-		size = nextLevel(size)
-	}
+	return FlatAdd(t.cells, t.m, key, delta)
 }
 
 func (t *blocked) Get(key int) int64 {
@@ -177,7 +204,7 @@ func (t *blocked) Grow(newUniverse int) {
 	for j := 0; j < t.m; j++ {
 		nt.cells[j] = t.rawAt(j)
 	}
-	nt.fold()
+	FlatFold(nt.cells, nt.m)
 	*t = nt
 }
 

@@ -24,6 +24,12 @@
 //     the smaller one (auto.go), so dense cubes get the cache-line
 //     layout while sparse and clustered cubes keep the B-tree's storage.
 //
+// The flat layout's arithmetic is exported as one kernel (FlatSize,
+// FlatPrefix, FlatAdd, FlatFold over a caller-owned []int64): blocked
+// wraps it around its own slice, and internal/core runs it on regions
+// of its per-tree cell slab, asking Flat and BuildsFlat when a group
+// holds or should hold that layout.
+//
 // The backend is a rebuild-time choice, not a wire format: snapshots
 // and WAL records store raw cells, so any snapshot loads into any
 // backend (and Marshal/Unmarshal below round-trip a backend's contents
@@ -155,6 +161,41 @@ func FromSlice(kind Kind, values []int64, fanout int) Backend {
 		return blockFenwickFromSlice(values)
 	}
 	panic(fmt.Sprintf("psum: unknown backend %q", kind))
+}
+
+// BuildsFlat reports whether FromSlice(kind, values, _) builds the flat
+// layout of the flat kernel (FlatSize and friends) — always for
+// blocked, for auto once the values are dense enough — so a caller
+// keeping its own cell storage can lay the group out there with
+// FlatFold instead. An empty group of any universe starts flat exactly
+// when BuildsFlat(kind, nil) does.
+func BuildsFlat(kind Kind, values []int64) bool {
+	switch kind {
+	case Blocked:
+		return true
+	case Auto, "":
+		nonzero := 0
+		for _, v := range values {
+			if v != 0 {
+				nonzero++
+			}
+		}
+		return dense(nonzero, len(values))
+	}
+	return false
+}
+
+// Flat returns the cells of b's flat layout (FlatSize(b.Universe())
+// long) when b currently holds one: a blocked backend, or an auto
+// backend past its promotion. The slice aliases b's storage.
+func Flat(b Backend) ([]int64, bool) {
+	switch t := b.(type) {
+	case *blocked:
+		return t.cells, true
+	case *auto:
+		return t.bl.cells, t.tr == nil
+	}
+	return nil, false
 }
 
 // Marshal encodes a backend's logical contents — universe plus the

@@ -4,10 +4,11 @@
 # fault-injection durability tier (DESIGN.md §9: crash/corruption
 # matrices over the WAL and the store), the telemetry-overhead
 # benchmark (DESIGN.md §8: the disabled fast path must stay within 2%
-# of pre-telemetry ns/op), the batch-equivalence property tier and the
-# batched-query bench smoke (DESIGN.md §10), and the mixed-workload
-# tier for the buffered write front (DESIGN.md §15), and the end-to-end
-# benchmark module's own checks plus one answer-checked smoke run.
+# of pre-telemetry ns/op), the dense read benchmarks, the
+# batch-equivalence property tier and the batched-query bench smoke
+# (DESIGN.md §10), the mixed-workload tier for the buffered write front
+# (DESIGN.md §15), the end-to-end benchmark module's own checks plus one
+# answer-checked smoke run, and last the mixed bench smoke.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -27,6 +28,10 @@ go test -race -run Concurrent ./...
 # store commit point and checkpoint stage, with verbose failure output.
 go test -run 'WAL|Replay|Crash|Corrupt|Torn' -count=1 . ./internal/store
 go test -run - -bench BenchmarkTelemetryOverhead -benchtime 0.5s .
+# Dense read benchmarks: one iteration each of the flat d = 2 arm and
+# the nested-cube d = 3 arm of the overlay descent (ns/op is not gated
+# here; the benchmarks must build and answer).
+go test -run - -bench 'RangeQuery/dense' -benchtime 1x .
 # Batch-equivalence property tier: a planned RangeSumBatch must answer
 # exactly what a sequential RangeSum loop answers, on every Cube
 # implementation, grown domains and sharded cubes included (DESIGN.md
@@ -82,13 +87,9 @@ go test -run FuzzRangeAdd -count=1 .
 /tmp/ddcbench_smoke rangeaddcost
 # Mixed-workload tier (DESIGN.md §15): the buffered write front's
 # read-your-writes equivalence, drain/freeze interleavings and the
-# store crash matrix under the race detector, then the mixed bench
-# smoke — its internal guard fails the run unless the buffered front
-# sustains >=2x the synchronous path's updates/sec at no worse than
-# 1.25x query p99, with a concurrent checkpoint inflating write p99 by
-# at most 1.5x (full suite writes BENCH_pr10.json).
+# store crash matrix under the race detector. The mixed bench smoke
+# runs last (below).
 go test -race -run 'Buffered|StoreBuffered|DeltaDrain' -count=1 . ./internal/store ./internal/cubeserver
-/tmp/ddcbench_smoke -mixed /tmp/ddc_mixed_smoke.json -smoke
 # Benchmark module (perfbench/, a nested Go module outside ./...): vet
 # and its own tests (same seed, same stream; transparent timing seams),
 # then one short olap-read run — run.py replays every answer on a
@@ -96,3 +97,10 @@ go test -race -run 'Buffered|StoreBuffered|DeltaDrain' -count=1 . ./internal/sto
 # is checked here.
 (cd perfbench && go vet ./... && go test ./...)
 python3 perfbench/run.py --workload olap-read --seed 1 --seconds 1 --trace 0
+# Mixed bench smoke, last because it stays red until the buffered delta
+# is bounded and set -e would stop the tiers above at it: its internal guard
+# fails the run unless the buffered front sustains >=2x the synchronous
+# path's updates/sec at no worse than 1.25x query p99, with a
+# concurrent checkpoint inflating write p99 by at most 1.5x (full suite
+# writes BENCH_pr10.json).
+/tmp/ddcbench_smoke -mixed /tmp/ddc_mixed_smoke.json -smoke
