@@ -78,19 +78,13 @@ func execReplay(path, backend string, speed float64) (*replaySummary, *ddc.Dynam
 				time.Sleep(d)
 			}
 		}
+		if m, ok := rec.Mutation(); ok {
+			if err := m.Apply(c); err != nil {
+				return nil, nil, fmt.Errorf("replay %v: %w", m, err)
+			}
+			continue
+		}
 		switch rec.Op {
-		case workload.OpAdd:
-			if err := c.Add(rec.Point, rec.Value); err != nil {
-				return nil, nil, fmt.Errorf("replay add %v: %w", rec.Point, err)
-			}
-		case workload.OpSet:
-			if err := c.Set(rec.Point, rec.Value); err != nil {
-				return nil, nil, fmt.Errorf("replay set %v: %w", rec.Point, err)
-			}
-		case workload.OpRangeAdd:
-			if err := c.RangeAdd(rec.Lo, rec.Hi, rec.Value); err != nil {
-				return nil, nil, fmt.Errorf("replay rangeadd %v..%v: %w", rec.Lo, rec.Hi, err)
-			}
 		case workload.OpPrefix:
 			sum.mix(c.Prefix(rec.Point))
 		case workload.OpRangeSum:

@@ -7,6 +7,7 @@ import (
 	"ddc/internal/core"
 	"ddc/internal/cube"
 	"ddc/internal/grid"
+	"ddc/internal/logrec"
 	"ddc/internal/psum"
 )
 
@@ -175,7 +176,7 @@ func (c *DynamicCube) AddBatch(batch []PointDelta) error {
 			break
 		}
 		if !c.noProfile {
-			tel.workloadWrite(c, pd.Point, pd.Delta, false)
+			tel.workloadWrite(c, logrec.Mutation{Kind: logrec.Add, Lo: pd.Point, Delta: pd.Delta})
 		}
 	}
 	tel.recordUpdate(uOpBatch, c.be, time.Since(start), merged)
@@ -209,7 +210,7 @@ func (c *DynamicCube) Set(p []int, v int64) error {
 	ops, err := c.t.SetOps(grid.Point(p), v)
 	tel.recordUpdate(uOpSet, c.be, time.Since(start), ops)
 	if err == nil && !c.noProfile {
-		tel.workloadWrite(c, p, v, true)
+		tel.workloadWrite(c, logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: v})
 	}
 	return err
 }
@@ -224,7 +225,7 @@ func (c *DynamicCube) Add(p []int, d int64) error {
 	ops, err := c.t.AddOps(grid.Point(p), d)
 	tel.recordUpdate(uOpAdd, c.be, time.Since(start), ops)
 	if err == nil && !c.noProfile {
-		tel.workloadWrite(c, p, d, false)
+		tel.workloadWrite(c, logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: d})
 	}
 	return err
 }
@@ -245,7 +246,7 @@ func (c *DynamicCube) RangeAdd(lo, hi []int, d int64) error {
 	ops, err := c.t.RangeAddOps(grid.Point(lo), grid.Point(hi), d)
 	tel.recordUpdate(uOpRangeAdd, c.be, time.Since(start), ops)
 	if err == nil && !c.noProfile {
-		tel.workloadRangeWrite(c, lo, hi, d)
+		tel.workloadWrite(c, logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: d})
 	}
 	return err
 }

@@ -48,6 +48,7 @@ import (
 	"ddc"
 	"ddc/internal/costmodel"
 	"ddc/internal/cubecli"
+	"ddc/internal/logrec"
 	"ddc/internal/obs"
 )
 
@@ -82,20 +83,12 @@ type spanTracer interface {
 // the server maps it to 501 Not Implemented.
 var ErrCheckpointUnsupported = errors.New("cubeserver: persistence does not support checkpoints")
 
-// walPersistence adapts a bare write-ahead log to Persistence.
-type walPersistence struct{ w *ddc.WAL }
+// walPersistence adapts a bare write-ahead log to Persistence: the
+// WAL's own mutators, Flush and TraceSpans, no checkpoints.
+type walPersistence struct{ *ddc.WAL }
 
-func (p walPersistence) Add(pt []int, delta int64) error { return p.w.Add(pt, delta) }
-func (p walPersistence) RangeAdd(lo, hi []int, delta int64) error {
-	return p.w.RangeAdd(lo, hi, delta)
-}
-func (p walPersistence) Set(pt []int, value int64) error { return p.w.Set(pt, value) }
-func (p walPersistence) Flush() error                    { return p.w.Flush() }
-func (p walPersistence) Checkpoint() error               { return ErrCheckpointUnsupported }
-func (p walPersistence) Healthy() error                  { return p.w.Err() }
-func (p walPersistence) TraceSpans(sc *obs.SpanContext, parent obs.SpanID) {
-	p.w.TraceSpans(sc, parent)
-}
+func (walPersistence) Checkpoint() error { return ErrCheckpointUnsupported }
+func (p walPersistence) Healthy() error  { return p.Err() }
 
 // Server serves one cube. Mutations are serialized by an internal
 // RWMutex; reads take the shared lock, so any number of queries are
@@ -106,6 +99,7 @@ type Server struct {
 	c       *ddc.DynamicCube
 	buf     *ddc.Buffered // optional delta front; reads compose through it
 	persist Persistence   // optional; when set, mutations go through it
+	target  logrec.Target // where mutations apply: persist, else the cube
 	mux     *http.ServeMux
 	log     *slog.Logger
 	ready   atomic.Bool // construction (post-recovery) complete
@@ -192,7 +186,10 @@ func NewWithPersistence(c *ddc.DynamicCube, p Persistence, opts Options) *Server
 	if logger == nil {
 		logger = slog.Default()
 	}
-	s := &Server{c: c, buf: opts.Buffered, persist: p, mux: http.NewServeMux(), log: logger}
+	s := &Server{c: c, buf: opts.Buffered, persist: p, target: c, mux: http.NewServeMux(), log: logger}
+	if p != nil {
+		s.target = p
+	}
 	s.mux.HandleFunc("/v1/add", s.handleAdd)
 	s.mux.HandleFunc("/v1/add/range", s.handleRangeAdd)
 	s.mux.HandleFunc("/v1/set", s.handleSet)
@@ -402,12 +399,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "delta required")
 		return
 	}
-	err := s.mutate(r.Context(), func() error {
-		if s.persist != nil {
-			return s.persist.Add(m.Point, *m.Delta)
-		}
-		return s.c.Add(m.Point, *m.Delta)
-	})
+	err := s.mutate(r.Context(), func() error { return s.target.Add(m.Point, *m.Delta) })
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -446,12 +438,7 @@ func (s *Server) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "delta required")
 		return
 	}
-	err := s.mutate(r.Context(), func() error {
-		if s.persist != nil {
-			return s.persist.RangeAdd(m.Lo, m.Hi, *m.Delta)
-		}
-		return s.c.RangeAdd(m.Lo, m.Hi, *m.Delta)
-	})
+	err := s.mutate(r.Context(), func() error { return s.target.RangeAdd(m.Lo, m.Hi, *m.Delta) })
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -475,12 +462,7 @@ func (s *Server) handleSet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "value required")
 		return
 	}
-	err := s.mutate(r.Context(), func() error {
-		if s.persist != nil {
-			return s.persist.Set(m.Point, *m.Value)
-		}
-		return s.c.Set(m.Point, *m.Value)
-	})
+	err := s.mutate(r.Context(), func() error { return s.target.Set(m.Point, *m.Value) })
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -490,7 +472,7 @@ func (s *Server) handleSet(w http.ResponseWriter, r *http.Request) {
 
 // batchOp is one operation in a /v1/batch request.
 type batchOp struct {
-	Op    string `json:"op"` // "add" or "set"
+	Op    string `json:"op"` // a point mutation kind: "add" or "set"
 	Point []int  `json:"point"`
 	Value int64  `json:"value"`
 }
@@ -520,20 +502,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	err := s.mutate(r.Context(), func() error {
 		for _, op := range req.Ops {
 			var err error
-			switch op.Op {
-			case "add":
-				if s.persist != nil {
-					err = s.persist.Add(op.Point, op.Value)
-				} else {
-					err = s.c.Add(op.Point, op.Value)
-				}
-			case "set":
-				if s.persist != nil {
-					err = s.persist.Set(op.Point, op.Value)
-				} else {
-					err = s.c.Set(op.Point, op.Value)
-				}
-			default:
+			if k, ok := logrec.ParseKind(op.Op); ok && !k.Box() {
+				err = logrec.Mutation{Kind: k, Lo: op.Point, Delta: op.Value}.Apply(s.target)
+			} else {
 				err = fmt.Errorf("unknown op %q", op.Op)
 			}
 			if err != nil {

@@ -19,8 +19,9 @@
 //     write to a temp file, fsync, atomically rename, then fsync the
 //     directory before old segments are truncated away.
 //   - Corruption is a typed error (ddc.ErrBadWAL / ddc.ErrBadSnapshot),
-//     never silently applied: WAL records carry CRC32C checksums, and
-//     checkpoints wrap the snapshot in a length+CRC32C container. A
+//     never silently applied: WAL records are framed records with CRC32C
+//     checksums (internal/logrec), and checkpoints wrap the snapshot in a
+//     length+CRC32C container hashed by the same package. A
 //     torn record is tolerated only at the tail of the final segment
 //     (the crash signature); anywhere else it is corruption.
 //
@@ -34,7 +35,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"ddc"
+	"ddc/internal/logrec"
 	"ddc/internal/obs"
 )
 
@@ -53,8 +54,6 @@ var ckptMagic = [8]byte{'D', 'D', 'C', 'C', 'K', 'P', 'T', '1'}
 
 // ckptHeaderSize is magic(8) + length(8) + crc(4).
 const ckptHeaderSize = 20
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Default auto-checkpoint triggers: rotate the active segment once it
 // holds this many records or bytes, whichever comes first.
@@ -319,38 +318,31 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Add applies a delta and appends it to the active segment. It is not
+// apply applies a mutation and appends its record to the active
+// segment — one record whatever the box volume of a RangeAdd. It is not
 // durable until Flush returns nil.
+func (s *Store) apply(m logrec.Mutation) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	return m.Apply(s.wal)
+}
+
+// Add applies a point delta; see apply.
 func (s *Store) Add(p []int, delta int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.wal.Add(p, delta)
+	return s.apply(logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: delta})
 }
 
-// RangeAdd applies a box delta and appends one range record to the
-// active segment — O(1) log growth regardless of the box volume. It is
-// not durable until Flush returns nil.
+// RangeAdd applies a box delta; see apply.
 func (s *Store) RangeAdd(lo, hi []int, delta int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.wal.RangeAdd(lo, hi, delta)
+	return s.apply(logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: delta})
 }
 
-// Set writes a cell value and appends it to the active segment. It is
-// not durable until Flush returns nil.
+// Set assigns a cell value; see apply.
 func (s *Store) Set(p []int, value int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.wal.Set(p, value)
+	return s.apply(logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: value})
 }
 
 // Flush is the commit point: buffered records are flushed and fsynced;
@@ -551,12 +543,16 @@ func (s *Store) writeCheckpoint(S uint64) error {
 		if _, err := f.Write(hdr[:]); err != nil {
 			return err
 		}
-		cw := &crcWriter{w: f}
-		if err := s.cube.SaveCompact(cw); err != nil {
+		crc := logrec.NewHash()
+		if err := s.cube.SaveCompact(io.MultiWriter(f, crc)); err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint64(hdr[8:16], uint64(cw.n))
-		binary.LittleEndian.PutUint32(hdr[16:20], cw.crc)
+		end, err := f.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(hdr[8:16], uint64(end-ckptHeaderSize))
+		binary.LittleEndian.PutUint32(hdr[16:20], crc.Sum32())
 		if _, err := f.WriteAt(hdr[:], 0); err != nil {
 			return err
 		}
@@ -606,7 +602,8 @@ func (s *Store) loadCheckpoint(S uint64) (*ddc.DynamicCube, error) {
 		return nil, fmt.Errorf("%w: %s: %d payload bytes on disk, header says %d",
 			ddc.ErrBadSnapshot, name, fi.Size()-ckptHeaderSize, plen)
 	}
-	cr := &crcReader{r: io.LimitReader(f, int64(plen))}
+	crc := logrec.NewHash()
+	cr := io.TeeReader(io.LimitReader(f, int64(plen)), crc)
 	// Checkpoints are backend-agnostic (raw cells); the configured
 	// backend shapes only the rebuilt in-memory structure.
 	cube, lerr := ddc.LoadDynamicBackend(cr, s.opts.Cube.Backend)
@@ -615,9 +612,9 @@ func (s *Store) loadCheckpoint(S uint64) (*ddc.DynamicCube, error) {
 	if _, err := io.Copy(io.Discard, cr); err != nil {
 		return nil, err
 	}
-	if cr.crc != want {
+	if got := crc.Sum32(); got != want {
 		return nil, fmt.Errorf("%w: %s: checksum mismatch (got %08x, want %08x)",
-			ddc.ErrBadSnapshot, name, cr.crc, want)
+			ddc.ErrBadSnapshot, name, got, want)
 	}
 	if lerr != nil {
 		return nil, fmt.Errorf("%s: %w", name, lerr)
@@ -751,32 +748,6 @@ func (s *Store) syncDir() error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// crcWriter counts bytes and folds them into a CRC32C on the way to w.
-type crcWriter struct {
-	w   io.Writer
-	n   int64
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-// crcReader folds everything read into a CRC32C.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
 }
 
 // noSyncWriter hides an *os.File's Sync method from the WAL's

@@ -5,17 +5,17 @@
 //
 //	header:  magic "DDCWKLD2" | uint32 d | uint32 sampleN |
 //	         int64 base unix-nanos | d × int64 domain extents
-//	record:  uint32 payload length | uint32 CRC-32C(payload) | payload
-//	payload: op byte | uvarint Δt-nanos since the previous record |
+//	record:  one framed record (internal/logrec) whose payload is
+//	         op byte | uvarint Δt-nanos since the previous record |
 //	         op body (zigzag-varint coordinates and values)
 //
 // DDCWKLD2 adds the range-update opcode (OpRangeAdd: lo, hi, delta) so
 // box updates replay state-exactly; writers always emit v2, and the
-// reader still accepts DDCWKLD1 streams (which simply cannot contain
-// op 6). Record framing mirrors the WAL v2 discipline: a truncated
-// final record is a torn tail (clean stop — the process died
-// mid-write), a checksum mismatch is corruption (an error).
-// Fixed-width header fields are little-endian.
+// reader still accepts DDCWKLD1 streams, where op 6 is corruption. The
+// update opcodes and the version that introduced each come from the
+// mutation kind table, and records recover by the framed records'
+// torn-tail rule, exactly like the WAL's. Fixed-width header fields are
+// little-endian.
 package workload
 
 import (
@@ -23,13 +23,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 	"time"
 
 	"ddc/internal/grid"
+	"ddc/internal/logrec"
 )
 
 // CaptureMagic is the DDCWKLD2 file signature written by Capture.
@@ -39,17 +39,20 @@ const CaptureMagic = "DDCWKLD2"
 // still accepts it (v1 streams never contain OpRangeAdd).
 const CaptureMagicV1 = "DDCWKLD1"
 
-// Capture record op kinds.
+// Capture record op kinds: the update ops are the mutation kinds'
+// capture opcodes.
+var (
+	OpAdd      = logrec.Add.CaptureOp()      // point delta: coords, value
+	OpSet      = logrec.Set.CaptureOp()      // point assignment: coords, value
+	OpRangeAdd = logrec.RangeAdd.CaptureOp() // box update: lo, hi, delta (DDCWKLD2 only)
+)
+
+// Capture record query kinds.
 const (
-	OpAdd      = byte(1) // point delta: coords, value
-	OpSet      = byte(2) // point assignment: coords, value
 	OpRangeSum = byte(3) // one query box: lo, hi
 	OpPrefix   = byte(4) // one prefix-sum point: coords
 	OpBatch    = byte(5) // batched range sums: count, then count boxes
-	OpRangeAdd = byte(6) // box update: lo, hi, delta (DDCWKLD2 only)
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadCapture marks a capture stream rejected for corruption (bad
 // magic, impossible lengths, checksum mismatch). Torn tails are not
@@ -101,6 +104,7 @@ type Capture struct {
 	mu   sync.Mutex
 	f    *os.File
 	w    *bufio.Writer
+	fw   *logrec.Writer // frames records onto w
 	path string
 	dims []int
 	n    int // query sampling rate, >= 1
@@ -114,8 +118,7 @@ type Capture struct {
 	records, updates, queries, sampledOut, rotations uint64
 	err                                              error
 
-	buf   []byte
-	frame [8]byte
+	buf []byte // the record being staged: frame header, then payload
 }
 
 // NewCapture opens (truncating) the capture file and writes its header.
@@ -156,6 +159,7 @@ func (c *Capture) open() error {
 	}
 	c.f = f
 	c.w = bufio.NewWriter(f)
+	c.fw = logrec.NewWriter(c.w)
 	base := c.now().UnixNano()
 	c.last = base
 	hdr := make([]byte, 0, 8+4+4+8+8*len(c.dims))
@@ -182,20 +186,15 @@ func appendPoint(buf []byte, p []int) []byte {
 	return buf
 }
 
-// emit frames and writes the payload staged in c.buf (op and Δt
-// already included); the caller holds the lock.
+// emit writes the record staged in c.buf (op and Δt already included);
+// the caller holds the lock.
 func (c *Capture) emit() {
-	binary.LittleEndian.PutUint32(c.frame[0:4], uint32(len(c.buf)))
-	binary.LittleEndian.PutUint32(c.frame[4:8], crc32.Checksum(c.buf, castagnoli))
-	if _, err := c.w.Write(c.frame[:]); err != nil {
+	n, err := c.fw.End(c.buf)
+	if err != nil {
 		c.err = err
 		return
 	}
-	if _, err := c.w.Write(c.buf); err != nil {
-		c.err = err
-		return
-	}
-	c.bytes += int64(8 + len(c.buf))
+	c.bytes += int64(n)
 	c.records++
 	if c.max > 0 && c.bytes >= c.max {
 		c.rotate()
@@ -233,42 +232,41 @@ func (c *Capture) begin(op byte) {
 		dt = 0
 	}
 	c.last = t
-	c.buf = append(c.buf[:0], op)
+	c.buf = append(c.fw.Begin(), op)
 	c.buf = binary.AppendUvarint(c.buf, uint64(dt))
 }
 
-// Add captures one point-delta update. Updates are always captured.
-func (c *Capture) Add(p []int, delta int64) { c.point(OpAdd, p, delta) }
-
-// Set captures one point-assignment update.
-func (c *Capture) Set(p []int, value int64) { c.point(OpSet, p, value) }
-
-func (c *Capture) point(op byte, p []int, v int64) {
+// Update captures one mutation: its op, the cell (or both box corners),
+// then the delta. Updates are always captured.
+func (c *Capture) Update(m logrec.Mutation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return
 	}
-	c.begin(op)
-	c.buf = appendPoint(c.buf, p)
-	c.buf = binary.AppendVarint(c.buf, v)
+	c.begin(m.Kind.CaptureOp())
+	c.buf = appendPoint(c.buf, m.Lo)
+	if m.Kind.Box() {
+		c.buf = appendPoint(c.buf, m.Hi)
+	}
+	c.buf = binary.AppendVarint(c.buf, m.Delta)
 	c.updates++
 	c.emit()
 }
 
-// RangeAdd captures one box update. Updates are always captured.
+// Add captures one point-delta update.
+func (c *Capture) Add(p []int, delta int64) {
+	c.Update(logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: delta})
+}
+
+// Set captures one point-assignment update.
+func (c *Capture) Set(p []int, value int64) {
+	c.Update(logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: value})
+}
+
+// RangeAdd captures one box update.
 func (c *Capture) RangeAdd(lo, hi []int, delta int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return
-	}
-	c.begin(OpRangeAdd)
-	c.buf = appendPoint(c.buf, lo)
-	c.buf = appendPoint(c.buf, hi)
-	c.buf = binary.AppendVarint(c.buf, delta)
-	c.updates++
-	c.emit()
+	c.Update(logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: delta})
 }
 
 // sampleQuery admits 1 in n query events; the caller holds the lock.
@@ -419,6 +417,19 @@ type CaptureRecord struct {
 	Batch []Query
 }
 
+// Mutation returns the update an add, set or rangeadd record carries;
+// ok is false for query records.
+func (r CaptureRecord) Mutation() (m logrec.Mutation, ok bool) {
+	k, ok := logrec.CaptureKind(r.Op, 2)
+	switch {
+	case !ok:
+		return m, false
+	case k.Box():
+		return logrec.Mutation{Kind: k, Lo: r.Lo, Hi: r.Hi, Delta: r.Value}, true
+	}
+	return logrec.Mutation{Kind: k, Lo: r.Point, Delta: r.Value}, true
+}
+
 // CaptureInfo summarises a decoded stream.
 type CaptureInfo struct {
 	Dims    []int
@@ -434,8 +445,9 @@ type CaptureInfo struct {
 // ReadCapture decodes a DDCWKLD2 (or legacy DDCWKLD1) stream, invoking
 // fn for every record in order; a non-nil error from fn aborts the
 // read. A truncated final record sets Torn and stops cleanly;
-// corruption (bad magic, checksum mismatch, malformed payload) returns
-// ErrBadCapture.
+// corruption (bad magic, impossible length, checksum mismatch,
+// malformed payload, an op the stream's version cannot carry) returns
+// ErrBadCapture, and any other read failure is returned as-is.
 func ReadCapture(r io.Reader, fn func(rec CaptureRecord) error) (CaptureInfo, error) {
 	br := bufio.NewReader(r)
 	var info CaptureInfo
@@ -467,41 +479,28 @@ func ReadCapture(r io.Reader, fn func(rec CaptureRecord) error) (CaptureInfo, er
 	}
 
 	last := info.Base
-	var frame [8]byte
-	var payload []byte
+	fr := logrec.NewReader(br, func(n uint32) bool { return n >= 1 && n <= maxCapturePayload })
 	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			if err == io.EOF {
-				return info, nil
-			}
+		payload, err := fr.Next()
+		switch {
+		case err == io.EOF:
+			return info, nil
+		case err == logrec.ErrTorn:
 			info.Torn = true
 			return info, nil
+		case errors.Is(err, logrec.ErrCorrupt):
+			return info, fmt.Errorf("%w: record %d: %v", ErrBadCapture, info.Records, err)
+		case err != nil:
+			return info, err
 		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxCapturePayload {
-			return info, fmt.Errorf("%w: record length %d", ErrBadCapture, length)
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			info.Torn = true
-			return info, nil
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return info, fmt.Errorf("%w: checksum mismatch (record %d)", ErrBadCapture, info.Records)
-		}
-		rec, err := decodeRecord(payload, d, &last)
+		rec, err := decodeRecord(payload, d, info.Version, &last)
 		if err != nil {
 			return info, err
 		}
 		info.Records++
-		switch rec.Op {
-		case OpAdd, OpSet, OpRangeAdd:
+		if _, ok := rec.Mutation(); ok {
 			info.Updates++
-		default:
+		} else {
 			info.Queries++
 		}
 		if fn != nil {
@@ -557,7 +556,7 @@ func (p *payloadReader) point(d int) (grid.Point, error) {
 	return pt, nil
 }
 
-func decodeRecord(payload []byte, d int, last *int64) (CaptureRecord, error) {
+func decodeRecord(payload []byte, d, version int, last *int64) (CaptureRecord, error) {
 	var rec CaptureRecord
 	p := &payloadReader{buf: payload}
 	rec.Op = payload[0]
@@ -568,14 +567,24 @@ func decodeRecord(payload []byte, d int, last *int64) (CaptureRecord, error) {
 	}
 	*last += int64(dt)
 	rec.At = *last
+	if k, ok := logrec.CaptureKind(rec.Op, version); ok {
+		if k.Box() {
+			rec.Lo, err = p.point(d)
+			if err == nil {
+				rec.Hi, err = p.point(d)
+			}
+		} else {
+			rec.Point, err = p.point(d)
+		}
+		if err == nil {
+			rec.Value, err = p.varint()
+		}
+		if err != nil {
+			return rec, err
+		}
+		return rec, p.end()
+	}
 	switch rec.Op {
-	case OpAdd, OpSet:
-		if rec.Point, err = p.point(d); err != nil {
-			return rec, err
-		}
-		if rec.Value, err = p.varint(); err != nil {
-			return rec, err
-		}
 	case OpPrefix:
 		if rec.Point, err = p.point(d); err != nil {
 			return rec, err
@@ -585,16 +594,6 @@ func decodeRecord(payload []byte, d int, last *int64) (CaptureRecord, error) {
 			return rec, err
 		}
 		if rec.Hi, err = p.point(d); err != nil {
-			return rec, err
-		}
-	case OpRangeAdd:
-		if rec.Lo, err = p.point(d); err != nil {
-			return rec, err
-		}
-		if rec.Hi, err = p.point(d); err != nil {
-			return rec, err
-		}
-		if rec.Value, err = p.varint(); err != nil {
 			return rec, err
 		}
 	case OpBatch:
@@ -615,10 +614,15 @@ func decodeRecord(payload []byte, d int, last *int64) (CaptureRecord, error) {
 			}
 		}
 	default:
-		return rec, fmt.Errorf("%w: op %d", ErrBadCapture, rec.Op)
+		return rec, fmt.Errorf("%w: op %d in a version-%d stream", ErrBadCapture, rec.Op, version)
 	}
-	if p.off != len(payload) {
-		return rec, fmt.Errorf("%w: %d trailing payload bytes", ErrBadCapture, len(payload)-p.off)
+	return rec, p.end()
+}
+
+// end rejects payload bytes left over after the record body.
+func (p *payloadReader) end() error {
+	if p.off != len(p.buf) {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrBadCapture, len(p.buf)-p.off)
 	}
-	return rec, nil
+	return nil
 }

@@ -25,8 +25,10 @@ go build ./...
 go test ./...
 go test -race -run Concurrent ./...
 # Fault injection: every truncation offset and byte flip of a WAL, every
-# store commit point and checkpoint stage, with verbose failure output.
-go test -run 'WAL|Replay|Crash|Corrupt|Torn' -count=1 . ./internal/store
+# store commit point and checkpoint stage, the framed-record codec's
+# truncate/flip/I/O-fault matrix, the capture's record-region matrix and
+# the golden format fixtures, with verbose failure output.
+go test -run 'WAL|Replay|Crash|Corrupt|Torn|Golden|Frame' -count=1 . ./internal/store ./internal/logrec ./internal/workload
 go test -run - -bench BenchmarkTelemetryOverhead -benchtime 0.5s .
 # Dense read benchmarks: one iteration each of the flat d = 2 arm and
 # the nested-cube d = 3 arm of the overlay descent (ns/op is not gated

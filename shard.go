@@ -10,6 +10,7 @@ import (
 	"ddc/internal/core"
 	"ddc/internal/cube"
 	"ddc/internal/grid"
+	"ddc/internal/logrec"
 	"ddc/internal/obs"
 )
 
@@ -200,7 +201,7 @@ func (s *ShardedCube) Set(p []int, v int64) error {
 	sh.mu.Unlock()
 	if err == nil {
 		if tel := globalTelemetry; tel.on() {
-			tel.workloadWrite(s, p, v, true)
+			tel.workloadWrite(s, logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: v})
 		}
 	}
 	return err
@@ -219,7 +220,7 @@ func (s *ShardedCube) Add(p []int, d int64) error {
 	sh.mu.Unlock()
 	if err == nil {
 		if tel := globalTelemetry; tel.on() {
-			tel.workloadWrite(s, p, d, false)
+			tel.workloadWrite(s, logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: d})
 		}
 	}
 	return err
@@ -304,7 +305,7 @@ func (s *ShardedCube) AddBatch(batch []PointDelta) error {
 		// Profile the batch with its global coordinates; the shard-local
 		// adds above ran on noProfile inner cubes.
 		for _, pd := range batch {
-			tel.workloadWrite(s, pd.Point, pd.Delta, false)
+			tel.workloadWrite(s, logrec.Mutation{Kind: logrec.Add, Lo: pd.Point, Delta: pd.Delta})
 		}
 	}
 	return nil
@@ -385,7 +386,7 @@ func (s *ShardedCube) RangeAdd(lo, hi []int, d int64) error {
 		return err
 	}
 	if on {
-		tel.workloadRangeWrite(s, lo, hi, d)
+		tel.workloadWrite(s, logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: d})
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"ddc/internal/core"
 	"ddc/internal/costmodel"
 	"ddc/internal/cube"
+	"ddc/internal/logrec"
 	"ddc/internal/obs"
 	"ddc/internal/psum"
 	"ddc/internal/workload"
@@ -137,7 +138,15 @@ const (
 )
 
 var qOpNames = [numQueryOps]string{"prefix", "rangesum", "rangesum_batch"}
-var uOpNames = [numUpdateOps]string{"add", "set", "batch", "rangeadd"}
+
+// uOpNames labels the update ops: the mutation kinds by their table
+// names, plus batched point updates.
+var uOpNames = [numUpdateOps]string{
+	uOpAdd:      logrec.Add.String(),
+	uOpSet:      logrec.Set.String(),
+	uOpBatch:    "batch",
+	uOpRangeAdd: logrec.RangeAdd.String(),
+}
 
 // backendNames indexes the per-backend metric label by psum.Index.
 var backendNames = func() []string {
@@ -910,33 +919,20 @@ func (t *Telemetry) workloadPoint(src workloadDomain, p []int) {
 	}
 }
 
-// workloadWrite profiles one point update; set distinguishes Set from
-// Add in the capture stream (replay must reproduce cube state).
-func (t *Telemetry) workloadWrite(src workloadDomain, p []int, v int64, set bool) {
+// workloadWrite profiles one update — a point write or a box write
+// heats the write plane — and lands it in the capture stream, where
+// updates are never sampled (replay must reproduce cube state).
+func (t *Telemetry) workloadWrite(src workloadDomain, m logrec.Mutation) {
 	if t.wl.Enabled() {
 		t.ensureWorkloadDomain(src)
-		t.wl.RecordWrite(p)
-	}
-	if cp := t.capture.Load(); cp != nil {
-		if set {
-			cp.Set(p, v)
+		if m.Kind.Box() {
+			t.wl.RecordWriteBox(m.Lo, m.Hi)
 		} else {
-			cp.Add(p, v)
+			t.wl.RecordWrite(m.Lo)
 		}
 	}
-}
-
-// workloadRangeWrite profiles one box range update (RangeAdd): it
-// heats the write plane and, since DDCWKLD2 added the range-update
-// opcode, lands in the capture stream so replay reproduces cube state
-// under box-update traffic.
-func (t *Telemetry) workloadRangeWrite(src workloadDomain, lo, hi []int, delta int64) {
-	if t.wl.Enabled() {
-		t.ensureWorkloadDomain(src)
-		t.wl.RecordWriteBox(lo, hi)
-	}
 	if cp := t.capture.Load(); cp != nil {
-		cp.RangeAdd(lo, hi, delta)
+		cp.Update(m)
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
+	"ddc/internal/logrec"
 	"ddc/internal/obs"
 )
 
@@ -23,23 +23,13 @@ import (
 // checksums). Replay still reads it; new logs are written as version 2.
 var walMagic = [8]byte{'D', 'D', 'C', 'W', 'A', 'L', '0', '1'}
 
-// walMagic2 opens a version-2 log stream: every record is framed by a
-// length prefix and a CRC32C (Castagnoli) checksum of its payload, so
+// walMagic2 opens a version-2 log stream: every record is a framed
+// record (internal/logrec: length prefix and CRC32C of the payload), so
 // torn tails are distinguishable from corruption.
 var walMagic2 = [8]byte{'D', 'D', 'C', 'W', 'A', 'L', '0', '2'}
 
 // walHeaderSize is the stream header: 8-byte magic + uint32 dims.
 const walHeaderSize = 12
-
-// castagnoli is the CRC32C table used by the v2 record framing.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Log record opcodes.
-const (
-	walOpAdd      = uint8(1) // add delta to a cell
-	walOpSet      = uint8(2) // set a cell's value
-	walOpRangeAdd = uint8(3) // add delta to every cell of a box (v2 only)
-)
 
 // ErrBadWAL is returned for malformed log streams.
 var ErrBadWAL = errors.New("ddc: bad write-ahead log")
@@ -66,11 +56,11 @@ type walSyncer interface{ Sync() error }
 type WAL struct {
 	c     Cube
 	w     *bufio.Writer
-	sync  walSyncer // optional fsync hook, detected from the writer
+	fw    *logrec.Writer // frames records onto w
+	sync  walSyncer      // optional fsync hook, detected from the writer
 	d     int
 	n     uint64 // records written
 	bytes uint64 // bytes appended, including the stream header
-	buf   []byte // record payload scratch
 	err   error  // first write/sync error; subsequent mutations fail fast
 
 	// tsc/tparent attach a request's span trace to the log: while set,
@@ -86,6 +76,7 @@ type WAL struct {
 // buffered records are flushed and fsynced.
 func NewWAL(c Cube, w io.Writer) (*WAL, error) {
 	l := &WAL{c: c, w: bufio.NewWriter(w), d: len(c.Dims())}
+	l.fw = logrec.NewWriter(l.w)
 	if s, ok := w.(walSyncer); ok {
 		l.sync = s
 	}
@@ -157,120 +148,90 @@ func (l *WAL) flush() error {
 	return nil
 }
 
-// append frames and writes one point record: uint32 payload length,
-// uint32 CRC32C of the payload, then the payload (op, point, value).
-func (l *WAL) append(op uint8, p []int, v int64) error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.tsc != nil {
-		span := l.tsc.Start("wal.append", l.tparent)
-		defer l.tsc.End(span)
-	}
-	tel := globalTelemetry
-	if tel.on() {
-		start := time.Now()
-		defer func() { tel.recordWALAppend(time.Since(start)) }()
-	}
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, op)
-	for _, x := range p {
-		l.buf = binary.LittleEndian.AppendUint64(l.buf, uint64(int64(x)))
-	}
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, uint64(v))
-	return l.writeRecord()
-}
-
-// appendRange frames and writes one range record: the payload is the
-// opcode, the 8-byte low corner coordinates, the 8-byte high corner
-// coordinates, then the 8-byte delta — 1+16d+8 bytes, so replay can
-// pair the opcode with the longer frame.
-func (l *WAL) appendRange(lo, hi []int, v int64) error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.tsc != nil {
-		span := l.tsc.Start("wal.append", l.tparent)
-		defer l.tsc.End(span)
-	}
-	tel := globalTelemetry
-	if tel.on() {
-		start := time.Now()
-		defer func() { tel.recordWALAppend(time.Since(start)) }()
-	}
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, walOpRangeAdd)
-	for _, x := range lo {
-		l.buf = binary.LittleEndian.AppendUint64(l.buf, uint64(int64(x)))
-	}
-	for _, x := range hi {
-		l.buf = binary.LittleEndian.AppendUint64(l.buf, uint64(int64(x)))
-	}
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, uint64(v))
-	return l.writeRecord()
-}
-
-// writeRecord frames l.buf (uint32 length + uint32 CRC32C) and writes
-// it, poisoning the log on failure.
-func (l *WAL) writeRecord() error {
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(l.buf)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(l.buf, castagnoli))
-	if _, err := l.w.Write(frame[:]); err != nil {
-		l.err = err
-		return err
-	}
-	if _, err := l.w.Write(l.buf); err != nil {
-		l.err = err
-		return err
-	}
-	l.n++
-	l.bytes += uint64(len(frame) + len(l.buf))
-	return nil
-}
-
 // Add implements Cube: apply (validating bounds), then log.
 func (l *WAL) Add(p []int, delta int64) error {
-	if l.err != nil {
-		return l.err
-	}
-	if len(p) != l.d {
-		return fmt.Errorf("%w: point has %d dims, log has %d", ErrBadWAL, len(p), l.d)
-	}
-	if err := l.c.Add(p, delta); err != nil {
-		return err
-	}
-	return l.append(walOpAdd, p, delta)
+	return l.apply(logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: delta})
 }
 
 // RangeAdd implements Cube: apply (validating the box), then log one
 // range record — the log grows by one record regardless of the box
 // volume, matching the lazy path's cost profile.
 func (l *WAL) RangeAdd(lo, hi []int, delta int64) error {
-	if l.err != nil {
-		return l.err
-	}
-	if len(lo) != l.d || len(hi) != l.d {
-		return fmt.Errorf("%w: box has %d/%d dims, log has %d", ErrBadWAL, len(lo), len(hi), l.d)
-	}
-	if err := l.c.RangeAdd(lo, hi, delta); err != nil {
-		return err
-	}
-	return l.appendRange(lo, hi, delta)
+	return l.apply(logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: delta})
 }
 
 // Set implements Cube: apply (validating bounds), then log.
 func (l *WAL) Set(p []int, value int64) error {
+	return l.apply(logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: value})
+}
+
+// apply applies m to the inner cube and, once the cube accepted it,
+// appends its record.
+func (l *WAL) apply(m logrec.Mutation) error {
 	if l.err != nil {
 		return l.err
 	}
-	if len(p) != l.d {
-		return fmt.Errorf("%w: point has %d dims, log has %d", ErrBadWAL, len(p), l.d)
+	if len(m.Lo) != l.d || (m.Kind.Box() && len(m.Hi) != l.d) {
+		return fmt.Errorf("%w: %v does not have the log's %d dims", ErrBadWAL, m, l.d)
 	}
-	if err := l.c.Set(p, value); err != nil {
+	if err := m.Apply(l.c); err != nil {
 		return err
 	}
-	return l.append(walOpSet, p, value)
+	return l.append(m)
+}
+
+// append writes m's record as one frame. The payload is the opcode,
+// the 8-byte coordinates of Lo (and of Hi for a box), then the 8-byte
+// delta: 1+8d+8 or 1+16d+8 bytes, so replay can pair the opcode with the
+// frame length. A write failure poisons the log.
+func (l *WAL) append(m logrec.Mutation) error {
+	if l.tsc != nil {
+		span := l.tsc.Start("wal.append", l.tparent)
+		defer l.tsc.End(span)
+	}
+	tel := globalTelemetry
+	if tel.on() {
+		start := time.Now()
+		defer func() { tel.recordWALAppend(time.Since(start)) }()
+	}
+	b := append(l.fw.Begin(), m.Kind.WALOp())
+	b = appendWALCoords(b, m.Lo)
+	if m.Kind.Box() {
+		b = appendWALCoords(b, m.Hi)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.Delta))
+	n, err := l.fw.End(b)
+	if err != nil {
+		l.err = err
+		return err
+	}
+	l.n++
+	l.bytes += uint64(n)
+	return nil
+}
+
+func appendWALCoords(b []byte, p []int) []byte {
+	for _, x := range p {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(x)))
+	}
+	return b
+}
+
+// decodeWALRecord decodes a record payload (opcode first) of m.Kind into
+// m, whose Lo (and Hi) hold d coordinates.
+func decodeWALRecord(p []byte, d int, m *logrec.Mutation) {
+	off := 1
+	for j := range m.Lo {
+		m.Lo[j] = int(int64(binary.LittleEndian.Uint64(p[off+8*j:])))
+	}
+	off += 8 * d
+	if m.Kind.Box() {
+		for j := range m.Hi {
+			m.Hi[j] = int(int64(binary.LittleEndian.Uint64(p[off+8*j:])))
+		}
+		off += 8 * d
+	}
+	m.Delta = int64(binary.LittleEndian.Uint64(p[off:]))
 }
 
 // Read-only methods delegate to the inner cube.
@@ -369,34 +330,23 @@ func (st *WALReplayStats) torn() {
 	}
 }
 
-// applyRecord applies one decoded record; cube rejections are format
-// errors (the writer never logs a rejected mutation).
-func applyRecord(c Cube, op uint8, p []int, v int64, rec uint64) error {
-	var err error
-	if op == walOpAdd {
-		err = c.Add(p, v)
-	} else {
-		err = c.Set(p, v)
+// apply applies one decoded record; cube rejections are format errors
+// (the writer never logs a rejected mutation).
+func (st *WALReplayStats) apply(c Cube, m logrec.Mutation) error {
+	if err := m.Apply(c); err != nil {
+		return fmt.Errorf("%w: record %d: %v", ErrBadWAL, st.Applied, err)
 	}
-	if err != nil {
-		return fmt.Errorf("%w: record %d: %v", ErrBadWAL, rec, err)
-	}
+	st.Applied++
 	return nil
 }
 
-// replayV1 reads the version-1 unframed record stream. Only a clean
-// end-of-stream (EOF at a record boundary or mid-record, the torn-tail
-// crash signature) stops without error; any other reader failure is
-// returned to the caller.
+// replayV1 reads the version-1 unframed record stream: opcode, point,
+// value. Only a clean end-of-stream (EOF at a record boundary or
+// mid-record, the torn-tail crash signature) stops without error; any
+// other reader failure is returned to the caller.
 func replayV1(br *bufio.Reader, c Cube, d int, st *WALReplayStats) error {
-	p := make([]int, d)
-	var field [8]byte
-	readInt64 := func() (int64, error) {
-		if _, err := io.ReadFull(br, field[:]); err != nil {
-			return 0, err
-		}
-		return int64(binary.LittleEndian.Uint64(field[:])), nil
-	}
+	rec := make([]byte, 1+8*d+8)
+	m := logrec.Mutation{Lo: make([]int, d)}
 	for {
 		op, err := br.ReadByte()
 		if err == io.EOF {
@@ -405,105 +355,61 @@ func replayV1(br *bufio.Reader, c Cube, d int, st *WALReplayStats) error {
 		if err != nil {
 			return err
 		}
-		if op != walOpAdd && op != walOpSet {
+		k, ok := logrec.WALKind(op, 1)
+		if !ok {
 			return fmt.Errorf("%w: unknown opcode %d at record %d", ErrBadWAL, op, st.Applied)
 		}
-		for j := 0; j < d; j++ {
-			x, err := readInt64()
+		if _, err := io.ReadFull(br, rec[1:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				st.torn()
 				return nil
 			}
-			if err != nil {
-				return err
-			}
-			p[j] = int(x)
-		}
-		v, err := readInt64()
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			st.torn()
-			return nil
-		}
-		if err != nil {
 			return err
 		}
-		if err := applyRecord(c, op, p, v, st.Applied); err != nil {
+		m.Kind = k
+		decodeWALRecord(rec, d, &m)
+		if err := st.apply(c, m); err != nil {
 			return err
 		}
-		st.Applied++
 	}
 }
 
-// replayV2 reads the version-2 framed record stream: length, CRC32C,
-// payload. Two record layouts exist — point records (op, point, value:
-// 1+8d+8 bytes) and range records (op, lo corner, hi corner, delta:
-// 1+16d+8 bytes) — distinguished by the frame length, which must agree
-// with the decoded opcode. A record cut anywhere is a torn tail; a
-// full-length record whose checksum or framing disagrees is corruption.
+// replayV2 reads the version-2 framed record stream under the framed
+// records' torn-tail rule. Two payload layouts exist — point records
+// (1+8d+8 bytes) and range records (1+16d+8 bytes) — so the length rule
+// admits exactly those two, and the decoded opcode must agree with the
+// length.
 func replayV2(br *bufio.Reader, c Cube, d int, st *WALReplayStats) error {
-	pointLen := 1 + 8*d + 8  // op + point + value
-	rangeLen := 1 + 16*d + 8 // op + lo + hi + delta
-	p := make([]int, d)
-	hi := make([]int, d)
-	var frame [8]byte
-	payload := make([]byte, rangeLen)
+	pointLen, rangeLen := uint32(1+8*d+8), uint32(1+16*d+8)
+	fr := logrec.NewReader(br, func(n uint32) bool { return n == pointLen || n == rangeLen })
+	m := logrec.Mutation{Lo: make([]int, d), Hi: make([]int, d)}
 	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			if err == io.EOF {
-				return nil // clean end at a record boundary
-			}
-			if err == io.ErrUnexpectedEOF {
-				st.torn()
-				return nil
-			}
-			return err
-		}
-		length := int(binary.LittleEndian.Uint32(frame[0:4]))
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if length != pointLen && length != rangeLen {
-			return fmt.Errorf("%w: record %d: bad length %d (want %d or %d)", ErrBadWAL, st.Applied, length, pointLen, rangeLen)
-		}
-		if _, err := io.ReadFull(br, payload[:length]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				st.torn()
-				return nil
-			}
-			return err
-		}
-		if got := crc32.Checksum(payload[:length], castagnoli); got != want {
-			if tel := globalTelemetry; tel.on() {
+		payload, err := fr.Next()
+		switch {
+		case err == io.EOF:
+			return nil
+		case err == logrec.ErrTorn:
+			st.torn()
+			return nil
+		case errors.Is(err, logrec.ErrCorrupt):
+			if tel := globalTelemetry; tel.on() && errors.Is(err, logrec.ErrChecksum) {
 				tel.recordWALChecksumReject()
 			}
-			return fmt.Errorf("%w: record %d: checksum mismatch (got %08x, want %08x)", ErrBadWAL, st.Applied, got, want)
+			return fmt.Errorf("%w: record %d: %v", ErrBadWAL, st.Applied, err)
+		case err != nil:
+			return err
 		}
-		op := payload[0]
-		switch op {
-		case walOpAdd, walOpSet:
-			if length != pointLen {
-				return fmt.Errorf("%w: record %d: opcode %d with range-record length %d", ErrBadWAL, st.Applied, op, length)
-			}
-			for j := 0; j < d; j++ {
-				p[j] = int(int64(binary.LittleEndian.Uint64(payload[1+8*j:])))
-			}
-			v := int64(binary.LittleEndian.Uint64(payload[1+8*d:]))
-			if err := applyRecord(c, op, p, v, st.Applied); err != nil {
-				return err
-			}
-		case walOpRangeAdd:
-			if length != rangeLen {
-				return fmt.Errorf("%w: record %d: opcode %d with point-record length %d", ErrBadWAL, st.Applied, op, length)
-			}
-			for j := 0; j < d; j++ {
-				p[j] = int(int64(binary.LittleEndian.Uint64(payload[1+8*j:])))
-				hi[j] = int(int64(binary.LittleEndian.Uint64(payload[1+8*(d+j):])))
-			}
-			v := int64(binary.LittleEndian.Uint64(payload[1+16*d:]))
-			if err := c.RangeAdd(p, hi, v); err != nil {
-				return fmt.Errorf("%w: record %d: %v", ErrBadWAL, st.Applied, err)
-			}
-		default:
-			return fmt.Errorf("%w: unknown opcode %d at record %d", ErrBadWAL, op, st.Applied)
+		k, ok := logrec.WALKind(payload[0], 2)
+		if !ok {
+			return fmt.Errorf("%w: unknown opcode %d at record %d", ErrBadWAL, payload[0], st.Applied)
 		}
-		st.Applied++
+		if k.Box() != (uint32(len(payload)) == rangeLen) {
+			return fmt.Errorf("%w: record %d: opcode %d with a %d-byte payload", ErrBadWAL, st.Applied, payload[0], len(payload))
+		}
+		m.Kind = k
+		decodeWALRecord(payload, d, &m)
+		if err := st.apply(c, m); err != nil {
+			return err
+		}
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"ddc/internal/logrec"
 )
 
 // This file is the WAL fault-injection harness: failing and
@@ -17,6 +19,16 @@ import (
 // (truncate at every offset, flip every byte) that proves recovery is
 // always either a clean prefix or a typed error — never silent wrong
 // data.
+
+// The record opcodes and the frame checksum the hand-built streams
+// below are written with: the opcodes from the mutation kind table, the
+// checksum recomputed independently of the codec.
+var (
+	walOpAdd      = logrec.Add.WALOp()
+	walOpSet      = logrec.Set.WALOp()
+	walOpRangeAdd = logrec.RangeAdd.WALOp()
+	castagnoli    = crc32.MakeTable(crc32.Castagnoli)
+)
 
 type walRec struct {
 	op uint8

@@ -3,6 +3,8 @@ package ddc
 import (
 	"errors"
 	"slices"
+
+	"ddc/internal/logrec"
 )
 
 // ErrClosedScenario is returned when a finished scenario is used again.
@@ -21,24 +23,8 @@ var ErrClosedScenario = errors.New("ddc: scenario already committed or rolled ba
 // in LIFO order only if their cells do not overlap (deltas commute).
 type Scenario struct {
 	c      Cube
-	undo   []scenarioDelta
+	undo   []logrec.Mutation // applied Add and RangeAdd records, oldest first
 	closed bool
-}
-
-// scenarioDelta is one recorded hypothetical update. A point delta has
-// hi == nil; a box delta (from AddRange) carries both corners.
-type scenarioDelta struct {
-	p     []int
-	hi    []int
-	delta int64
-}
-
-// undo applies the exact inverse of the recorded update.
-func (d scenarioDelta) undo(c Cube) error {
-	if d.hi == nil {
-		return c.Add(d.p, -d.delta)
-	}
-	return c.RangeAdd(d.p, d.hi, -d.delta)
 }
 
 // Begin starts a what-if scenario on the cube.
@@ -46,14 +32,7 @@ func Begin(c Cube) *Scenario { return &Scenario{c: c} }
 
 // Add applies a hypothetical delta to a cell.
 func (s *Scenario) Add(p []int, delta int64) error {
-	if s.closed {
-		return ErrClosedScenario
-	}
-	if err := s.c.Add(p, delta); err != nil {
-		return err
-	}
-	s.undo = append(s.undo, scenarioDelta{p: append([]int(nil), p...), delta: delta})
-	return nil
+	return s.apply(logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: delta})
 }
 
 // AddRange applies a hypothetical delta to every cell of the inclusive
@@ -62,17 +41,19 @@ func (s *Scenario) Add(p []int, delta int64) error {
 // with the original pending entry and cancels it without leaving any
 // residue in the structure.
 func (s *Scenario) AddRange(lo, hi []int, delta int64) error {
+	return s.apply(logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: delta})
+}
+
+// apply applies an additive mutation and records a copy for Rollback.
+func (s *Scenario) apply(m logrec.Mutation) error {
 	if s.closed {
 		return ErrClosedScenario
 	}
-	if err := s.c.RangeAdd(lo, hi, delta); err != nil {
+	if err := m.Apply(s.c); err != nil {
 		return err
 	}
-	s.undo = append(s.undo, scenarioDelta{
-		p:     append([]int(nil), lo...),
-		hi:    append([]int(nil), hi...),
-		delta: delta,
-	})
+	m.Lo, m.Hi = slices.Clone(m.Lo), slices.Clone(m.Hi)
+	s.undo = append(s.undo, m)
 	return nil
 }
 
@@ -104,9 +85,12 @@ func (s *Scenario) Rollback() error {
 		return ErrClosedScenario
 	}
 	var errs []error
-	var failed []scenarioDelta
+	var failed []logrec.Mutation
 	for i := len(s.undo) - 1; i >= 0; i-- {
-		if err := s.undo[i].undo(s.c); err != nil {
+		// The exact inverse: additive kinds undo by negating the delta.
+		inv := s.undo[i]
+		inv.Delta = -inv.Delta
+		if err := inv.Apply(s.c); err != nil {
 			errs = append(errs, err)
 			failed = append(failed, s.undo[i])
 		}
