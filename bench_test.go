@@ -156,10 +156,12 @@ func BenchmarkUpdate(b *testing.B) {
 
 // BenchmarkRangeQuery measures one range-sum query per iteration for
 // every method on a sparse 256x256 cube — the right half of the
-// trade-off — and, for the DDC, on two fully populated bulk-built
-// cubes: dense1024 (1024x1024, whose row-sum groups use the flat
-// layout) and dense3d (128x128x128, whose row-sum groups are nested
-// two-dimensional cubes).
+// trade-off — and, for the DDC, on fully populated bulk-built cubes:
+// dense1024 (1024x1024, whose row-sum groups use the flat layout),
+// grown1024 (the same cube grown once and not materialised, so every
+// query whose region meets the old data reads through the root's
+// delegating box) and dense3d (128x128x128, whose row-sum groups are
+// nested two-dimensional cubes).
 func BenchmarkRangeQuery(b *testing.B) {
 	dims := []int{256, 256}
 	for _, m := range benchMethods() {
@@ -168,7 +170,7 @@ func BenchmarkRangeQuery(b *testing.B) {
 			benchRangeSums(b, c, qs)
 		})
 	}
-	b.Run("dense1024", func(b *testing.B) {
+	dense2d := func(b *testing.B, grow bool) {
 		const side = 1024
 		r := workload.NewRNG(12345)
 		vals := make([]int64, side*side)
@@ -186,10 +188,27 @@ func BenchmarkRangeQuery(b *testing.B) {
 				lo[j] = r.Intn(side)
 				hi[j] = min(side-1, lo[j]+r.Intn(512))
 			}
+			if grow {
+				// Stretch the box across the old data's upper edge in
+				// dimension 1: its hi corners then read the old data
+				// through the delegating box.
+				lo[1] = side/2 + r.Intn(side/2)
+				hi[1] = side + r.Intn(side)
+			}
 			qs[i] = workload.Query{Lo: lo, Hi: hi}
 		}
+		if grow {
+			// Grow after in both dimensions: the old data stays the
+			// root's child 0, behind a delegating box, in the grown
+			// domain [0, 2048)^2.
+			if err := c.Grow([]bool{false, false}); err != nil {
+				b.Fatal(err)
+			}
+		}
 		benchRangeSums(b, c, qs)
-	})
+	}
+	b.Run("dense1024", func(b *testing.B) { dense2d(b, false) })
+	b.Run("grown1024", func(b *testing.B) { dense2d(b, true) })
 	b.Run("dense3d", func(b *testing.B) {
 		const side = 128
 		r := workload.NewRNG(12345)

@@ -66,7 +66,9 @@ type Contribution struct {
 // counterpart of the basic tree's PrefixTrace. It is built for
 // debugging and education, not hot paths (it allocates per level).
 // Like Prefix, it only reads the tree and is safe for concurrent
-// callers.
+// callers. It counts no operations: the tree's shared counter moves
+// only for the queries that answer callers, so a traced query that is
+// re-walked here is not counted twice.
 func (t *Tree) ExplainPrefix(p grid.Point) (int64, []Contribution) {
 	if len(p) != t.d || (t.root == noRec && len(t.pending) == 0) {
 		return 0, nil
@@ -113,15 +115,12 @@ func (t *Tree) ExplainPrefix(p grid.Point) (int64, []Contribution) {
 		if cells == 0 {
 			continue
 		}
-		s.ops.QueryCells++
-		s.ops.Contribs[KindPending]++
 		v := b.delta * cells
 		sum += v
 		parts = append(parts, Contribution{
 			Level: 0, BoxAnchor: b.lo.Clone(), K: side, Kind: KindPending, Value: v,
 		})
 	}
-	t.ops.AtomicAdd(s.ops)
 	putQueryScratch(s)
 	return sum, parts
 }
@@ -132,7 +131,7 @@ func (t *Tree) explainRec(s *queryScratch, nd int32, anchor grid.Point, ext int,
 		if n.leaf < 0 {
 			return 0
 		}
-		v := t.leafPrefix(s, n.leaf, anchor, q, level)
+		v := t.leafPrefix(s, n.leaf, anchor, q)
 		if v != 0 {
 			*parts = append(*parts, Contribution{
 				Level: level, BoxAnchor: t.logical(anchor), K: ext, Kind: KindLeaf, Value: v,
@@ -193,7 +192,7 @@ func (t *Tree) explainRec(s *queryScratch, nd int32, anchor grid.Point, ext int,
 				for i := 0; i < t.d; i++ {
 					qq[i] = boxAnchor[i] + l[i]
 				}
-				v := t.prefixRec(s, child, boxAnchor.Clone(), k, qq, level+1)
+				v := t.descend(s, child, boxAnchor.Clone(), k, qq, level+1)
 				if v != 0 {
 					*parts = append(*parts, Contribution{
 						Level: level, BoxAnchor: t.logical(boxAnchor), K: k, Kind: KindDelegated, Value: v,

@@ -72,14 +72,14 @@ func (t *Tree) boxAdd(b *boxRec, k int, o grid.Point, delta int64, drop []int, o
 
 // boxPrefix returns the prefix sum of group j of a box of side k at the
 // (d-1)-dimensional local coordinate l, counting cells read into ops.
+// Counts flow through the caller's per-call counter, so a read leaves
+// the store and every shared counter untouched — concurrent readers
+// never write shared state.
 func (t *Tree) boxPrefix(b *boxRec, k, j int, l []int, ops *cube.OpCounter) int64 {
-	if b.kind == boxFlat {
-		fs := psum.FlatSize(k)
-		v, visits := psum.FlatPrefix(t.ar.cells.region(b.ref, j*fs, fs), k, l[0])
-		ops.QueryCells += visits
-		return v
+	if t.d == 2 {
+		return t.rowSum2(b, k, j, l[0], ops)
 	}
-	return t.ar.side.at(b.ref+int32(j)).prefix(l, ops)
+	return t.ar.side.at(b.ref+int32(j)).tr.prefixWithOps(grid.Point(l), ops, nil)
 }
 
 // boxStorage returns the int64 values a box of side k retains: its
@@ -98,19 +98,6 @@ func (t *Tree) boxStorage(b *boxRec, k int) int {
 		return c
 	}
 	return 1
-}
-
-// prefix returns the group's prefix sum at l. Operation counts flow
-// through the caller's per-call counter, so prefix leaves both the store
-// and any shared counter untouched — concurrent readers never write
-// shared state.
-func (g *group) prefix(l []int, ops *cube.OpCounter) int64 {
-	if g.ps != nil {
-		v, visits := g.ps.PrefixSumVisits(l[0])
-		ops.QueryCells += visits
-		return v
-	}
-	return g.tr.prefixWithOps(grid.Point(l), ops, nil)
 }
 
 func (g *group) add(l []int, delta int64, ops *cube.OpCounter) {

@@ -20,23 +20,15 @@ type scratch struct {
 
 type scratchFrame struct {
 	boxAnchor grid.Point
-	l         grid.Point
-	qq        grid.Point
 	o         grid.Point
 	drop      []int
-	idx       []int
-	hi        []int
 }
 
 func newScratchFrame(d int) scratchFrame {
 	return scratchFrame{
 		boxAnchor: make(grid.Point, d),
-		l:         make(grid.Point, d),
-		qq:        make(grid.Point, d),
 		o:         make(grid.Point, d),
 		drop:      make([]int, d-1+1), // d-1, +1 so d=1 stays non-nil
-		idx:       make([]int, d),
-		hi:        make([]int, d),
 	}
 }
 
@@ -49,43 +41,77 @@ func (s *scratch) frame(depth, d int) *scratchFrame {
 	return &s.frames[depth]
 }
 
-// queryScratch holds the complete per-call state of one prefix query:
-// the clamped query point, the depth-indexed recursion buffers, and a
-// private operation counter that is merged into the tree's shared
-// counter once, at the end of the call. Because every query draws its
-// own state from qsPool, any number of goroutines can run queries on
-// one tree simultaneously — the tree itself is only read.
+// queryScratch holds the complete per-call state of one read: the
+// clamped query point, the general descent's buffers, and a private
+// operation counter that is merged into the tree's shared counter once,
+// at the end of the call. Because every read draws its own state from
+// qsPool, any number of goroutines can run queries on one tree
+// simultaneously — the tree itself is only read. A RangeSum runs all of
+// its corners on one state.
 type queryScratch struct {
-	q      grid.Point
-	frames []scratchFrame
-	ops    cube.OpCounter
+	q   grid.Point
+	ops cube.OpCounter
+
+	// The general descent (prefixRec: d = 1 and the outer levels of
+	// d >= 3) walks with a mutable anchor per delegation depth: the
+	// descent from the root owns anchors[0], and a delegating box met
+	// at depth i starts its sub-descent on anchors[i+1] and qs[i+1].
+	// l is a row-sum index (d-1 coordinates); idx and hi walk a leaf
+	// tile. The d = 2 loop keeps everything in registers and uses none
+	// of them.
+	anchors []grid.Point
+	qs      []grid.Point
+	l       []int
+	idx     []int
+	hi      []int
 
 	// lv counts outer-tree node visits per recursion depth when lvOn is
 	// set (the EXPLAIN/span-tracing path); the normal query path leaves
-	// it off, so the hot recursion pays one predictable branch.
+	// it off, so the hot descent pays one predictable branch.
 	lv   []uint64
 	lvOn bool
 }
 
 // qsPool recycles query states across calls and across trees (outer
-// trees and their nested group trees share it; dimensionalities differ,
-// so frame() re-checks buffer sizes).
+// trees and their nested group trees share it, so getQueryScratch and
+// frame re-size buffers for the caller's dimensionality).
 var qsPool = sync.Pool{New: func() interface{} { return new(queryScratch) }}
 
-// getQueryScratch returns a query state with a d-sized query point and a
+// getQueryScratch returns a query state sized for d dimensions with a
 // zeroed op counter.
 func getQueryScratch(d int) *queryScratch {
 	s := qsPool.Get().(*queryScratch)
-	if cap(s.q) < d {
-		s.q = make(grid.Point, d)
-	}
-	s.q = s.q[:d]
+	s.q = resize(s.q, d)
+	s.l = resize(s.l, d-1)
+	s.idx = resize(s.idx, d)
+	s.hi = resize(s.hi, d)
 	s.ops = cube.OpCounter{}
 	s.lvOn = false
 	return s
 }
 
 func putQueryScratch(s *queryScratch) { qsPool.Put(s) }
+
+// resize returns buf with length n, reallocating only when it is too
+// small.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
+// frame returns the anchor and query buffers of one delegation depth,
+// each of length d.
+func (s *queryScratch) frame(depth, d int) (anchor, q grid.Point) {
+	for len(s.anchors) <= depth {
+		s.anchors = append(s.anchors, nil)
+		s.qs = append(s.qs, nil)
+	}
+	s.anchors[depth] = resize(s.anchors[depth], d)
+	s.qs[depth] = resize(s.qs[depth], d)
+	return s.anchors[depth], s.qs[depth]
+}
 
 // visit counts one outer-tree node visit at the given depth.
 func (s *queryScratch) visit(depth int) {
@@ -96,29 +122,6 @@ func (s *queryScratch) visit(depth int) {
 		}
 		s.lv[depth]++
 	}
-}
-
-// frame returns the buffers for one recursion depth. Pooled states are
-// shared across trees of different dimensionality, so a frame whose
-// buffers are too small for d is reallocated; larger buffers are
-// re-sliced down so range loops (e.g. dropDimInto's) see exactly d
-// elements.
-func (s *queryScratch) frame(depth, d int) *scratchFrame {
-	for len(s.frames) <= depth {
-		s.frames = append(s.frames, newScratchFrame(d))
-	}
-	fr := &s.frames[depth]
-	if cap(fr.boxAnchor) < d {
-		*fr = newScratchFrame(d)
-		return fr
-	}
-	fr.boxAnchor = fr.boxAnchor[:d]
-	fr.l = fr.l[:d]
-	fr.qq = fr.qq[:d]
-	fr.o = fr.o[:d]
-	fr.idx = fr.idx[:d]
-	fr.hi = fr.hi[:d]
-	return fr
 }
 
 // dropDimInto writes l without dimension j into dst[:d-1] and returns

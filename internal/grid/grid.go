@@ -301,17 +301,6 @@ type PrefixSummer interface {
 	Prefix(p Point) int64
 }
 
-// LowerBounded is implemented by prefix-sum oracles that know the low
-// corner of their domain. RangeSum uses it to short-circuit degenerate
-// corner terms: a corner with any coordinate below the lower bound
-// dominates an empty region, so its prefix is 0 by definition and the
-// oracle call can be skipped entirely.
-type LowerBounded interface {
-	// LowerBound returns the inclusive low corner of the domain. The
-	// returned point must not be mutated by callers.
-	LowerBound() Point
-}
-
 // cornerPool recycles the per-call corner buffer of RangeSum; corner
 // reductions run on every query hot path, so the buffer must not be a
 // fresh allocation per call.
@@ -330,21 +319,15 @@ func getCorner(d int) *Point {
 // inclusion/exclusion identity of Figure 4: the signed sum over the 2^d
 // corners obtained by independently choosing hi_i or lo_i - 1 in each
 // dimension. Corners below the oracle's lower bound denote empty regions
-// and must evaluate to 0 (see PrefixSummer); when the oracle declares its
-// lower bound (LowerBounded) such corners never reach it.
+// and must evaluate to 0 (see PrefixSummer).
 func RangeSum(ps PrefixSummer, lo, hi Point) int64 {
 	mustSameDims(len(lo), len(hi))
 	d := len(lo)
 	cp := getCorner(d)
 	corner := *cp
-	var bound Point
-	if lb, ok := ps.(LowerBounded); ok {
-		bound = lb.LowerBound()
-	}
 	var total int64
 	for mask := 0; mask < 1<<uint(d); mask++ {
 		parity := 0
-		empty := false
 		for i := 0; i < d; i++ {
 			if mask&(1<<uint(i)) != 0 {
 				corner[i] = lo[i] - 1
@@ -352,13 +335,6 @@ func RangeSum(ps PrefixSummer, lo, hi Point) int64 {
 			} else {
 				corner[i] = hi[i]
 			}
-			if bound != nil && corner[i] < bound[i] {
-				empty = true
-				break
-			}
-		}
-		if empty {
-			continue
 		}
 		v := ps.Prefix(corner)
 		if parity == 0 {

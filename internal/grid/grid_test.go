@@ -275,57 +275,6 @@ func TestNextPow2PanicsBelowOne(t *testing.T) {
 	NextPow2(0)
 }
 
-// boundedPrefix wraps densePrefix with a declared lower bound and
-// records whether any corner below it ever reached the oracle — the
-// short-circuit contract of LowerBounded.
-type boundedPrefix struct {
-	densePrefix
-	bound    Point
-	belowHit bool
-}
-
-func (bp *boundedPrefix) LowerBound() Point { return bp.bound }
-
-func (bp *boundedPrefix) Prefix(p Point) int64 {
-	for i, v := range p {
-		if v < bp.bound[i] {
-			bp.belowHit = true
-			return 0
-		}
-	}
-	return bp.densePrefix.Prefix(p)
-}
-
-// TestRangeSumLowerBoundShortCircuit proves degenerate corner terms
-// (any coordinate below the declared lower bound) are skipped without
-// an oracle call, and that skipping them never changes the answer.
-func TestRangeSumLowerBoundShortCircuit(t *testing.T) {
-	e := MustExtent(4, 4)
-	bp := &boundedPrefix{
-		densePrefix: densePrefix{e: e, a: make([]int64, e.Cells())},
-		bound:       Point{0, 0},
-	}
-	for i := range bp.a {
-		bp.a[i] = int64(i + 1)
-	}
-	// Boxes anchored at the origin generate lo-1 = -1 corners in one or
-	// both dimensions: exactly the degenerate terms.
-	for _, box := range []struct{ lo, hi Point }{
-		{Point{0, 0}, Point{3, 3}},
-		{Point{0, 1}, Point{2, 3}},
-		{Point{1, 0}, Point{3, 2}},
-	} {
-		got := RangeSum(bp, box.lo, box.hi)
-		want := bp.boxSum(box.lo, box.hi)
-		if got != want {
-			t.Fatalf("RangeSum(%v, %v) = %d, want %d", box.lo, box.hi, got, want)
-		}
-	}
-	if bp.belowHit {
-		t.Fatal("a below-bound corner reached the oracle despite LowerBounded")
-	}
-}
-
 // flatPrefix is a constant-time oracle, so the benchmark measures only
 // the corner reduction itself.
 type flatPrefix struct{}

@@ -30,10 +30,11 @@ go test -race -run Concurrent ./...
 # the golden format fixtures, with verbose failure output.
 go test -run 'WAL|Replay|Crash|Corrupt|Torn|Golden|Frame' -count=1 . ./internal/store ./internal/logrec ./internal/workload
 go test -run - -bench BenchmarkTelemetryOverhead -benchtime 0.5s .
-# Dense read benchmarks: one iteration each of the flat d = 2 arm and
-# the nested-cube d = 3 arm of the overlay descent (ns/op is not gated
+# Dense read benchmarks: one iteration each of the flat d = 2 arm, the
+# delegating arm of a grown, unmaterialised d = 2 cube and the
+# nested-cube d = 3 arm of the overlay descent (ns/op is not gated
 # here; the benchmarks must build and answer).
-go test -run - -bench 'RangeQuery/dense' -benchtime 1x .
+go test -run - -bench 'RangeQuery/(dense|grown)' -benchtime 1x .
 # Batch-equivalence property tier: a planned RangeSumBatch must answer
 # exactly what a sequential RangeSum loop answers, on every Cube
 # implementation, grown domains and sharded cubes included (DESIGN.md
@@ -42,9 +43,10 @@ go test -run 'RangeSumBatch|BatchTelemetry|SumBatch' -count=1 . ./internal/cubes
 # Backend property tier (DESIGN.md §11): every prefix-sum backend must
 # agree exactly with the classic reference — cube-level op sequences,
 # snapshot round-trips across backends, the psum fuzz seed corpus, the
-# auto promotion tests and core's op-count invariance — under the race
+# auto promotion tests, core's op-count invariance and the differential
+# descent test against the reference recursion — under the race
 # detector; the allocation guards run in the plain pass above.
-go test -race -run 'Backend|Auto|OpCount' -count=1 . ./internal/psum ./internal/core
+go test -race -run 'Backend|Auto|OpCount|Descent' -count=1 . ./internal/psum ./internal/core
 # Bench smoke: the batched engine's JSON section must produce sane
 # numbers end to end (full suite writes BENCH_pr6.json), and the
 # backend matrix row guards the blocked backend's constant factor

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ddc/internal/cube"
+	"ddc/internal/grid"
 )
 
 // withTelemetry enables the global telemetry for one test, restoring
@@ -406,4 +409,51 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}()
 		run(b)
 	})
+}
+
+// TestTraceSamplingKeepsOpCountsExact: a sampled Prefix re-walks its
+// descent through ExplainPrefix for the per-level trace, and that
+// re-walk must not count again — with every query sampled, N Prefix
+// calls move Ops() by exactly the sum of their own per-call counts,
+// taken on an identical cube.
+func TestTraceSamplingKeepsOpCountsExact(t *testing.T) {
+	tel := withTelemetry(t)
+	tel.SetTraceSampling(1)
+	build := func() *DynamicCube {
+		c, err := NewDynamic([]int{32, 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if err := c.Add([]int{i * 7 % 32, i * 13 % 32}, int64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.RangeAdd([]int{3, 4}, []int{20, 9}, 2); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c, ref := build(), build()
+	var want cube.OpCounter
+	before := c.t.Ops()
+	for i := 0; i < 25; i++ {
+		p := grid.Point{i * 5 % 32, i * 11 % 32}
+		_, ops := ref.t.PrefixOps(p)
+		want.Add(ops)
+		c.Prefix(p)
+	}
+	if got := len(tel.Traces()); got != 25 {
+		t.Fatalf("sampled %d of 25 queries, want every one", got)
+	}
+	got := c.t.Ops()
+	for i, n := range before.Contribs {
+		got.Contribs[i] -= n
+	}
+	got.NodeVisits -= before.NodeVisits
+	got.QueryCells -= before.QueryCells
+	got.UpdateCells -= before.UpdateCells
+	if got != want {
+		t.Fatalf("sampled Prefix calls moved Ops() by %+v, want %+v", got, want)
+	}
 }
