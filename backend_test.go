@@ -189,7 +189,7 @@ func TestBackendAllocs(t *testing.T) {
 		}
 		out := make([]int64, len(queries))
 		// Warm the prefix cache: the first batch and range sum may install
-		// cache entries; steady state must not.
+		// cache entries; steady state must not, warm or cold.
 		if _, err := c.RangeSum(lo, hi); err != nil {
 			t.Fatal(err)
 		}
@@ -214,6 +214,16 @@ func TestBackendAllocs(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Errorf("%s: RangeSumBatchInto allocates %.1f/op", backend, a)
+		}
+		// Cold: every corner misses the invalidated cache, descends and
+		// is installed again — still without allocating.
+		if a := testing.AllocsPerRun(100, func() {
+			c.InvalidatePrefixCache()
+			if err := c.RangeSumBatchInto(queries, out); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s: cold RangeSumBatchInto allocates %.1f/op", backend, a)
 		}
 	}
 }

@@ -83,40 +83,49 @@ func (c *DynamicCube) RangeSumBatchStats(queries []RangeQuery) ([]int64, BatchSt
 	return c.rangeSumBatch(queries)
 }
 
-// boxPool recycles the RangeQuery -> core.Box conversion buffers so
-// RangeSumBatchInto stays allocation-free in steady state.
+// boxPool recycles the RangeQuery -> core.Box conversion buffers, so
+// the batch entry points convert without allocating in steady state.
 var boxPool = sync.Pool{New: func() interface{} { return new([]core.Box) }}
 
+// getBoxes converts queries into a pooled core.Box buffer; hand it back
+// with putBoxes once the batch has run.
+func getBoxes(queries []RangeQuery) *[]core.Box {
+	bp := boxPool.Get().(*[]core.Box)
+	boxes := (*bp)[:0]
+	for _, q := range queries {
+		boxes = append(boxes, core.Box{Lo: grid.Point(q.Lo), Hi: grid.Point(q.Hi)})
+	}
+	*bp = boxes
+	return bp
+}
+
+// putBoxes returns a buffer to the pool, dropping its references to the
+// caller's coordinate slices.
+func putBoxes(bp *[]core.Box) {
+	clear(*bp)
+	boxPool.Put(bp)
+}
+
 // RangeSumBatchInto is RangeSumBatch writing the results into out
-// (len(out) must equal len(queries)). With a warm prefix cache the
-// entire call is allocation-free — the planning scratch, the box
-// conversion buffer and the result storage are all reused — which is
-// the steady-state form latency-sensitive callers poll with (the
-// allocation-regression tests pin it at zero allocs for every backend).
+// (len(out) must equal len(queries)). With a warm or a cold prefix
+// cache the entire call is allocation-free for batches below the
+// engine's fan-out crossover — the planning and query scratch, the box
+// conversion buffer, the cache's storage and the result storage are
+// all reused — which is the steady-state form latency-sensitive callers
+// poll with (the allocation-regression tests pin it at zero allocs for
+// every backend).
 func (c *DynamicCube) RangeSumBatchInto(queries []RangeQuery, out []int64) error {
 	if len(out) != len(queries) {
 		return fmt.Errorf("ddc: batch out has %d slots for %d queries", len(out), len(queries))
 	}
-	bp := boxPool.Get().(*[]core.Box)
-	boxes := *bp
-	if cap(boxes) < len(queries) {
-		boxes = make([]core.Box, len(queries))
-	}
-	boxes = boxes[:len(queries)]
-	for i, q := range queries {
-		boxes[i] = core.Box{Lo: grid.Point(q.Lo), Hi: grid.Point(q.Hi)}
-	}
+	bp := getBoxes(queries)
+	defer putBoxes(bp)
 	tel := globalTelemetry
 	if !tel.on() {
-		err := c.t.RangeSumBatchInto(boxes, out)
-		*bp = boxes
-		boxPool.Put(bp)
-		return err
+		return c.t.RangeSumBatchInto(*bp, out)
 	}
 	start := time.Now()
-	ops, st, err := c.t.RangeSumBatchIntoOps(boxes, out)
-	*bp = boxes
-	boxPool.Put(bp)
+	ops, st, err := c.t.RangeSumBatchIntoOps(*bp, out)
 	if err != nil {
 		return err
 	}
@@ -146,13 +155,11 @@ func (c *DynamicCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 	if len(out) != len(queries) {
 		return BatchStats{}, nil, fmt.Errorf("ddc: batch out has %d slots for %d queries", len(out), len(queries))
 	}
-	boxes := make([]core.Box, len(queries))
-	for i, q := range queries {
-		boxes[i] = core.Box{Lo: grid.Point(q.Lo), Hi: grid.Point(q.Hi)}
-	}
+	bp := getBoxes(queries)
+	defer putBoxes(bp)
 	tel := globalTelemetry
 	start := time.Now()
-	ops, st, levels, err := c.t.RangeSumBatchTraceOps(boxes, out, sc, parent)
+	ops, st, levels, err := c.t.RangeSumBatchTraceOps(*bp, out, sc, parent)
 	if err != nil {
 		return BatchStats{}, nil, err
 	}
@@ -174,19 +181,17 @@ func (c *DynamicCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 func (c *DynamicCube) InvalidatePrefixCache() { c.t.InvalidatePrefixCache() }
 
 func (c *DynamicCube) rangeSumBatch(queries []RangeQuery) ([]int64, BatchStats, error) {
-	boxes := make([]core.Box, len(queries))
-	for i, q := range queries {
-		boxes[i] = core.Box{Lo: grid.Point(q.Lo), Hi: grid.Point(q.Hi)}
-	}
+	bp := getBoxes(queries)
+	defer putBoxes(bp)
 	stats := BatchStats{Queries: len(queries)}
 	tel := globalTelemetry
 	if !tel.on() {
-		sums, _, st, err := c.t.RangeSumBatchOps(boxes)
+		sums, _, st, err := c.t.RangeSumBatchOps(*bp)
 		stats.merge(st)
 		return sums, stats, err
 	}
 	start := time.Now()
-	sums, ops, st, err := c.t.RangeSumBatchOps(boxes)
+	sums, ops, st, err := c.t.RangeSumBatchOps(*bp)
 	stats.merge(st)
 	d := time.Since(start)
 	if err != nil {

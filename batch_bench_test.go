@@ -27,7 +27,10 @@ func benchLoadedCube(b *testing.B) *DynamicCube {
 // over 15 stride-aligned positions, so corners collapse onto a small
 // lattice.
 func benchWindowQueries() []RangeQuery {
-	qs := workload.Windows([]int{1024, 256}, 64, 0, 128, 64, []int{16}, []int{239})
+	return rangeQueries(workload.Windows([]int{1024, 256}, 64, 0, 128, 64, []int{16}, []int{239}))
+}
+
+func rangeQueries(qs []workload.Query) []RangeQuery {
 	out := make([]RangeQuery, len(qs))
 	for i, q := range qs {
 		out[i] = RangeQuery{Lo: []int(q.Lo), Hi: []int(q.Hi)}
@@ -107,4 +110,47 @@ func BenchmarkRangeSumBatchWarm(b *testing.B) {
 		sink += sums[0]
 	}
 	_ = sink
+}
+
+// BenchmarkRangeSumBatch prices one cold RangeSumBatchInto on a dense
+// 1024x1024 cube (every cell 1..100, as in BenchmarkRangeQuery/
+// dense1024), the prefix cache invalidated before every call so each
+// distinct corner descends. dashboard1024 cycles eight dashboards of
+// perfbench's olap-read shape — 16 windows of width 128 at stride 64
+// along dimension 1 over one random range of dimension 0, about 34
+// distinct corners, below the engine's fan-out crossover; random1024
+// is one batch of 1024 random boxes, about 4000 distinct corners,
+// which fans out.
+func BenchmarkRangeSumBatch(b *testing.B) {
+	const side = 1024
+	dims := []int{side, side}
+	r := workload.NewRNG(8080)
+	vals := make([]int64, side*side)
+	for i := range vals {
+		vals[i] = 1 + r.Int63n(100)
+	}
+	c, err := BuildDynamic(dims, vals, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dashboards [][]RangeQuery
+	for i := 0; i < 8; i++ {
+		q := workload.Ranges(r, dims, 1, 0.5)[0]
+		ws := workload.Windows(dims, 16, 1, side/8, side/16, []int{q.Lo[0]}, []int{q.Hi[0]})
+		dashboards = append(dashboards, rangeQueries(ws))
+	}
+	random := rangeQueries(workload.Ranges(r, dims, 1024, 0.5))
+	run := func(b *testing.B, batches [][]RangeQuery) {
+		out := make([]int64, len(batches[0]))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.InvalidatePrefixCache()
+			if err := c.RangeSumBatchInto(batches[i%len(batches)], out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("dashboard1024", func(b *testing.B) { run(b, dashboards) })
+	b.Run("random1024", func(b *testing.B) { run(b, [][]RangeQuery{random}) })
 }

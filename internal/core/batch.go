@@ -18,16 +18,16 @@ import (
 // the whole batch at once:
 //
 //  1. expand each box into its signed corner terms, short-circuiting
-//     corners below the logical origin (empty regions) and clamping
-//     coordinates beyond the padded domain to its high edge, so terms
-//     that denote the same prefix canonicalize to the same point;
-//  2. deduplicate the canonical corners across the entire batch, so
-//     each distinct prefix descends the tree exactly once;
+//     corners below the logical origin (empty regions); checkRange has
+//     bounded every hi by the domain, so no corner needs clamping;
+//  2. deduplicate the corners across the entire batch, so each
+//     distinct prefix descends the tree exactly once;
 //  3. serve corners from the epoch-versioned prefix cache when the tree
 //     has not mutated since they were last computed, and execute the
-//     remaining distinct corners over the lock-free read path with a
-//     bounded worker fan-out (each descent draws its scratch from the
-//     shared query pool);
+//     remaining distinct corners over the lock-free read path on one
+//     pooled query scratch — fanned out over GOMAXPROCS goroutines,
+//     one scratch each, only above a measured crossover
+//     (batchFanoutMin);
 //  4. gather the signed terms back into per-query results.
 //
 // Operation counts reflect the deduplicated work: a corner descended
@@ -50,7 +50,7 @@ type BatchStats struct {
 	// SkippedCorners counts corner terms short-circuited as empty
 	// (a coordinate below the logical origin).
 	SkippedCorners int
-	// DistinctCorners is the number of distinct canonical corners the
+	// DistinctCorners is the number of distinct corners the
 	// batch needed — the descents a sequential loop would have paid
 	// CornerTerms for.
 	DistinctCorners int
@@ -65,56 +65,94 @@ type BatchStats struct {
 const prefixCacheCap = 4096
 
 // prefixCache memoises corner prefix values between batches. All
-// entries belong to one mutation epoch; a lookup under a newer epoch
+// entries belong to one mutation epoch; a batch under a newer epoch
 // drops everything, so a single atomic epoch bump on any mutation is
 // the entire invalidation protocol. The mutex only coordinates batches
 // with each other — mutations never touch the cache.
+//
+// The cache is keyed by the planner's corner hash: m maps a hash slot
+// to an entry, and every entry keeps its corner's coordinates, so a hit
+// is checked against the corner it answers and a 64-bit collision
+// probes the next slot (as in the planner). Dropping the entries keeps
+// the map's buckets and the slices' capacity, so even a cache that is
+// invalidated before every batch allocates nothing in steady state.
 type prefixCache struct {
-	mu    sync.Mutex
-	epoch uint64
-	m     map[string]int64
+	mu     sync.Mutex
+	epoch  uint64
+	m      map[uint64]int32 // hash slot -> entry
+	coords []int            // entry e's corner is coords[e*d : (e+1)*d]
+	vals   []int64          // entry e's prefix value
 }
 
-// sync moves the cache to epoch, dropping stale entries, and returns
-// the map for use under the held lock. The map is cleared in place, not
-// reallocated: frequent invalidation (a mutation-heavy stream) must not
-// turn into allocation churn.
-func (c *prefixCache) sync(epoch uint64) map[string]int64 {
+// sync moves the cache to epoch, dropping the entries of any other
+// epoch, and reports whether it holds entries a lookup could hit.
+func (c *prefixCache) sync(epoch uint64) bool {
+	if c.m != nil && c.epoch == epoch {
+		return len(c.vals) != 0
+	}
 	if c.m == nil {
-		c.m = make(map[string]int64, 64)
-	} else if c.epoch != epoch {
+		c.m = make(map[uint64]int32, 64)
+	} else {
 		clear(c.m)
 	}
+	c.coords, c.vals = c.coords[:0], c.vals[:0]
 	c.epoch = epoch
-	return c.m
+	return false
 }
 
-// cornerKey encodes a canonical corner as a map key, appending to dst
-// to avoid a second allocation.
-func cornerKey(dst []byte, p grid.Point) []byte {
-	for _, v := range p {
-		u := uint64(v)
-		dst = append(dst, byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
-	}
-	return dst
-}
-
-// hashCorner is an inline FNV-1a over a corner's coordinates: the
-// planner's dedup index is keyed by this hash (not an interned string)
-// so steady-state batches plan with zero allocations — map buckets
-// survive clear, uint64 keys intern nothing. Collisions are resolved by
-// probing successive hash values with full point comparison (see the
-// planning loop), so a 64-bit collision costs a probe, never a wrong
-// answer.
-func hashCorner(p grid.Point) uint64 {
-	h := uint64(1469598103934665603)
-	for _, v := range p {
-		u := uint64(v)
-		for s := uint(0); s < 64; s += 8 {
-			h ^= (u >> s) & 0xff
-			h *= 1099511628211
+// find returns the entry holding corner p, whose hash is h, or the
+// first free hash slot of p's probe sequence.
+func (c *prefixCache) find(p grid.Point, h uint64) (slot uint64, e int32, ok bool) {
+	d := len(p)
+	for ; ; h++ {
+		e, ok := c.m[h]
+		if !ok {
+			return h, 0, false
 		}
+		if pointsEq(c.coords[int(e)*d:int(e+1)*d], p) {
+			return h, e, true
+		}
+	}
+}
+
+// insert records v as the prefix value of corner p (hash h). A full
+// cache evicts an arbitrary entry and reuses its storage: hot
+// dashboards re-warm in one batch, and correctness never depends on
+// residency.
+func (c *prefixCache) insert(p grid.Point, h uint64, v int64) {
+	slot, e, ok := c.find(p, h)
+	if ok {
+		c.vals[e] = v
+		return
+	}
+	if len(c.vals) < prefixCacheCap {
+		e = int32(len(c.vals))
+		c.coords = append(c.coords, p...)
+		c.vals = append(c.vals, v)
+	} else {
+		for k, old := range c.m {
+			delete(c.m, k)
+			e = old
+			break
+		}
+		copy(c.coords[int(e)*len(p):], p)
+		c.vals[e] = v
+	}
+	c.m[slot] = e
+}
+
+// hashCorner mixes a corner's coordinates one word at a time (a
+// multiply and an xor-shift per coordinate). The planner's dedup index
+// and the prefix cache are both keyed by this hash, so steady-state
+// batches intern nothing — map buckets survive clear, uint64 keys
+// allocate nothing. Both resolve collisions by probing successive hash
+// values with full point comparison, so a 64-bit collision costs a
+// probe, never a wrong answer.
+func hashCorner(p grid.Point) uint64 {
+	h := uint64(len(p))
+	for _, v := range p {
+		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
 	}
 	return h
 }
@@ -139,21 +177,19 @@ type signedTerm struct {
 }
 
 // batchScratch holds a batch execution's planning state, pooled so a
-// steady stream of batches plans allocation-free. With a warm prefix
-// cache and a caller-provided result slice (RangeSumBatchInto) an
-// entire batch runs with zero allocations; the only remaining per-call
-// garbage is the cache's interned keys on a miss — work that already
-// pays for tree descents.
+// steady stream of batches plans allocation-free. With a caller-
+// provided result slice (RangeSumBatchInto) an entire untraced batch
+// below the fan-out crossover runs with zero allocations, whether its
+// corners hit the prefix cache or descend.
 type batchScratch struct {
-	index    map[uint64]int32 // corner hash -> index into distinct
-	distinct []grid.Point     // canonical corners; points are reused
+	index    map[uint64]int32 // corner hash slot -> index into distinct
+	distinct []grid.Point     // distinct corners; points are reused
+	hashes   []uint64         // hashCorner of each distinct corner
 	terms    []signedTerm     // all queries' terms, flattened
 	qoff     []int32          // terms[qoff[i]:qoff[i+1]] belongs to query i
 	values   []int64          // one resolved value per distinct corner
 	work     []int32          // distinct indices missing from the cache
 	corner   grid.Point
-	hiBound  grid.Point
-	keyBuf   []byte
 }
 
 var batchScratchPool = sync.Pool{New: func() interface{} {
@@ -164,24 +200,21 @@ var batchScratchPool = sync.Pool{New: func() interface{} {
 func (s *batchScratch) reset(d, nq int) {
 	clear(s.index)
 	s.distinct = s.distinct[:0]
+	s.hashes = s.hashes[:0]
 	s.terms = s.terms[:0]
 	s.work = s.work[:0]
 	if cap(s.qoff) < nq+1 {
 		s.qoff = make([]int32, 0, nq+1)
 	}
 	s.qoff = s.qoff[:0]
-	if cap(s.corner) < d {
-		s.corner = make(grid.Point, d)
-		s.hiBound = make(grid.Point, d)
-	}
-	s.corner = s.corner[:d]
-	s.hiBound = s.hiBound[:d]
+	s.corner = resize(s.corner, d)
 }
 
-// addDistinct records a new canonical corner, reusing a pooled point
-// when one is available.
-func (s *batchScratch) addDistinct(p grid.Point) int32 {
+// addDistinct records a new distinct corner with hash h, reusing a
+// pooled point when one is available.
+func (s *batchScratch) addDistinct(p grid.Point, h uint64) int32 {
 	ci := len(s.distinct)
+	s.hashes = append(s.hashes, h)
 	if ci < cap(s.distinct) {
 		s.distinct = s.distinct[:ci+1]
 		if cap(s.distinct[ci]) >= len(p) {
@@ -222,10 +255,11 @@ func (t *Tree) RangeSumBatchOps(queries []Box) ([]int64, cube.OpCounter, BatchSt
 }
 
 // RangeSumBatchInto is RangeSumBatch writing the results into out
-// (len(out) must equal len(queries)). With a warm prefix cache the call
-// is allocation-free: planning state is pooled, cached corners intern no
-// keys, and no result slice is allocated — the steady-state batch path
-// the allocation-regression tests pin.
+// (len(out) must equal len(queries)). Below the fan-out crossover the
+// call is allocation-free in steady state, with a warm or a cold prefix
+// cache: planning and query scratch are pooled, the cache reuses its
+// storage, and no result slice is allocated — the batch path the
+// allocation-regression tests pin.
 func (t *Tree) RangeSumBatchInto(queries []Box, out []int64) error {
 	_, _, err := t.RangeSumBatchIntoOps(queries, out)
 	return err
@@ -268,7 +302,7 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 		}
 	}
 
-	// Plan: expand, canonicalize, deduplicate. The planning state comes
+	// Plan: expand and deduplicate. The planning state comes
 	// from a pool so steady batch streams plan allocation-free.
 	planSpan := obs.NoSpan
 	if sc != nil {
@@ -278,11 +312,7 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 	masks := 1 << uint(d)
 	scr := batchScratchPool.Get().(*batchScratch)
 	scr.reset(d, len(queries))
-	corner, hiBound := scr.corner, scr.hiBound
-	for i := 0; i < d; i++ {
-		hiBound[i] = t.origin[i] + t.n - 1
-	}
-	keyBuf := scr.keyBuf
+	corner := scr.corner
 	for qi := range queries {
 		lo, hi := queries[qi].Lo, queries[qi].Hi
 		scr.qoff = append(scr.qoff, int32(len(scr.terms)))
@@ -299,9 +329,6 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 					empty = true
 					break
 				}
-				if v > hiBound[i] {
-					v = hiBound[i]
-				}
 				corner[i] = v
 			}
 			if empty {
@@ -310,11 +337,12 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 			}
 			stats.CornerTerms++
 			var ci int32
-			for h := hashCorner(corner); ; h++ {
-				known, ok := scr.index[h]
+			h := hashCorner(corner)
+			for slot := h; ; slot++ {
+				known, ok := scr.index[slot]
 				if !ok {
-					ci = scr.addDistinct(corner)
-					scr.index[h] = ci
+					ci = scr.addDistinct(corner, h)
+					scr.index[slot] = ci
 					break
 				}
 				if pointsEq(scr.distinct[known], corner) {
@@ -339,9 +367,11 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 		sc.End(planSpan)
 	}
 
-	// Serve what the versioned cache already knows. The epoch is stable
-	// for the whole batch: mutations require exclusive access, so none
-	// can run between this load and the stores below.
+	// Serve what the versioned cache already knows; a cache still on an
+	// older epoch (or empty) would miss every corner, so the lookups are
+	// skipped. The epoch is stable for the whole batch: mutations
+	// require exclusive access, so none can run between this load and
+	// the stores below.
 	dedupSpan := obs.NoSpan
 	if sc != nil {
 		dedupSpan = sc.Start("batch.dedup", parent)
@@ -352,18 +382,23 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 	}
 	values := scr.values[:len(distinct)]
 	work := scr.work // cache misses to descend
-	t.pcache.mu.Lock()
-	cm := t.pcache.sync(epoch)
-	for ci, p := range distinct {
-		keyBuf = cornerKey(keyBuf[:0], p)
-		if v, ok := cm[string(keyBuf)]; ok {
-			values[ci] = v
-			stats.CacheHits++
-		} else {
+	pc := &t.pcache
+	pc.mu.Lock()
+	if pc.sync(epoch) {
+		for ci, p := range distinct {
+			if _, e, ok := pc.find(p, scr.hashes[ci]); ok {
+				values[ci] = pc.vals[e]
+				stats.CacheHits++
+			} else {
+				work = append(work, int32(ci))
+			}
+		}
+	} else {
+		for ci := range distinct {
 			work = append(work, int32(ci))
 		}
 	}
-	t.pcache.mu.Unlock()
+	pc.mu.Unlock()
 	stats.CacheMisses = len(work)
 	if sc != nil {
 		sc.SetAttr(dedupSpan, "cache_hits", int64(stats.CacheHits))
@@ -372,63 +407,30 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 	}
 
 	// Execute the distinct, uncached prefixes over the lock-free read
-	// path with a bounded fan-out; each worker merges its counts once.
-	// The closure (and the counter it captures) only exists on the miss
-	// path, so a fully cached batch allocates nothing here. The traced
-	// path additionally collects the per-level outer-tree visit profile
-	// (descents only — cache hits visit nothing), merged atomically so
-	// the fan-out stays contention-free.
+	// path. The traced path additionally collects the per-level
+	// outer-tree visit profile (descents only — cache hits visit
+	// nothing).
 	execSpan := obs.NoSpan
 	if sc != nil {
 		execSpan = sc.Start("batch.execute", parent)
 	}
-	var snap cube.OpCounter
 	var levels []uint64
 	if sc != nil {
 		levels = make([]uint64, t.Levels())
 	}
+	var ops cube.OpCounter
 	if len(work) > 0 {
-		var merged cube.OpCounter
-		batchParallel(len(work), func(wi int) {
-			ci := work[wi]
-			var ops cube.OpCounter
-			if sc != nil {
-				lv := make([]uint64, 0, len(levels))
-				values[ci] = t.prefixWithOps(distinct[ci], &ops, &lv)
-				for i, n := range lv {
-					if i < len(levels) {
-						atomic.AddUint64(&levels[i], n)
-					}
-				}
-			} else {
-				values[ci] = t.prefixWithOps(distinct[ci], &ops, nil)
-			}
-			merged.AtomicAdd(ops)
-		})
-		snap = merged.AtomicSnapshot()
-	}
-
-	// Install the freshly computed corners, bounded by the cache
-	// capacity (arbitrary eviction: hot dashboards re-warm in one
-	// batch, and correctness never depends on residency).
-	if len(work) > 0 {
-		t.pcache.mu.Lock()
-		cm = t.pcache.sync(epoch)
+		ops = t.descendCorners(distinct, work, values, levels)
+		pc.mu.Lock()
+		pc.sync(epoch)
 		for _, ci := range work {
-			if len(cm) >= prefixCacheCap {
-				for k := range cm {
-					delete(cm, k)
-					break
-				}
-			}
-			keyBuf = cornerKey(keyBuf[:0], distinct[ci])
-			cm[string(keyBuf)] = values[ci]
+			pc.insert(distinct[ci], scr.hashes[ci], values[ci])
 		}
-		t.pcache.mu.Unlock()
+		pc.mu.Unlock()
 	}
 	if sc != nil {
 		sc.SetAttr(execSpan, "descents", int64(len(work)))
-		sc.SetAttr(execSpan, "node_visits", int64(snap.NodeVisits))
+		sc.SetAttr(execSpan, "node_visits", int64(ops.NodeVisits))
 		sc.End(execSpan)
 	}
 
@@ -453,40 +455,109 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 		sc.End(gatherSpan)
 	}
 
-	scr.keyBuf, scr.work = keyBuf, work
+	scr.work = work
 	batchScratchPool.Put(scr)
-	t.ops.AtomicAdd(snap)
-	return snap, stats, levels, nil
+	t.ops.AtomicAdd(ops)
+	return ops, stats, levels, nil
 }
 
-// batchParallel runs fn(0..n-1) across up to GOMAXPROCS goroutines —
-// the bounded fan-out for distinct corner descents. Small batches (or a
-// single-processor box) stay on the calling goroutine.
-func batchParallel(n int, fn func(i int)) {
-	workers := n
-	if m := runtime.GOMAXPROCS(0); workers > m {
-		workers = m
+// batchFanoutMin is the number of cache-missing corners from which a
+// batch spreads its descents over up to GOMAXPROCS goroutines; smaller
+// batches descend on the calling goroutine, on one query scratch. It
+// is the measured crossover: cold batches of random boxes on a dense
+// 1024² cube (2 vCPUs, GOMAXPROCS 2, 6 runs per size) took the same
+// time either way at 250–770 distinct misses (510: 241–298 µs
+// sequential, 263–287 µs fanned out), and the fan-out first won
+// clearly at 1023 misses (841–915 → 664–837 µs, about −15%), growing
+// to about −30% at 2046 and −45% at 4081. A dashboard (16 windows,
+// ~34 corners) never fans out.
+const batchFanoutMin = 1024
+
+// fanoutChunk is how many consecutive misses a fan-out worker claims at
+// a time: large enough that claiming is rare, small enough that the
+// workers finish together.
+const fanoutChunk = 128
+
+// descendCorners computes values[ci] for every corner index in work and
+// returns the operation counts of those descents. Each goroutine runs
+// its share on one pooled query scratch — corners written as internal
+// coordinates, counts (and, when levels is non-nil, the per-level visit
+// profile) accumulated in the scratch and merged once per goroutine.
+// Every corner lies inside the domain (checkRange bounds hi, the
+// planner skipped corners below the origin), so none needs clamping.
+func (t *Tree) descendCorners(distinct []grid.Point, work []int32, values []int64, levels []uint64) cube.OpCounter {
+	workers := min(runtime.GOMAXPROCS(0), (len(work)+fanoutChunk-1)/fanoutChunk)
+	if len(work) < batchFanoutMin || workers <= 1 {
+		s := t.cornerScratch(levels)
+		t.prefixCorners(s, distinct, work, values)
+		var ops cube.OpCounter
+		s.release(&ops, levels)
+		return ops
 	}
-	if workers <= 1 || n < 4 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
+	var (
+		next atomic.Int64 // end of the last claimed chunk
+		mu   sync.Mutex
+		ops  cube.OpCounter
+		wg   sync.WaitGroup
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			s := t.cornerScratch(levels)
 			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
+				end := int(next.Add(fanoutChunk))
+				if end-fanoutChunk >= len(work) {
+					break
 				}
-				fn(i)
+				t.prefixCorners(s, distinct, work[end-fanoutChunk:min(end, len(work))], values)
 			}
+			mu.Lock()
+			s.release(&ops, levels)
+			mu.Unlock()
 		}()
 	}
 	wg.Wait()
+	return ops
+}
+
+// prefixCorners computes values[ci] for the corner indices in work on
+// the one query scratch s.
+func (t *Tree) prefixCorners(s *queryScratch, distinct []grid.Point, work []int32, values []int64) {
+	for _, ci := range work {
+		for i, v := range distinct[ci] {
+			s.q[i] = v - t.origin[i]
+		}
+		values[ci] = t.prefixAt(s)
+	}
+}
+
+// cornerScratch checks out the query scratch a batch's descents run
+// on, switching its per-level visit profile on for traced batches
+// (levels non-nil). Nested group trees descend on scratches of their
+// own, so the profile counts only the outer tree's Theorem 1 descent —
+// what the EXPLAIN budget check compares against one visit per level
+// per corner.
+func (t *Tree) cornerScratch(levels []uint64) *queryScratch {
+	s := getQueryScratch(t.d)
+	if levels != nil {
+		s.lvOn = true
+		s.lv = s.lv[:0]
+	}
+	return s
+}
+
+// release adds the scratch's counts into ops and its per-level profile
+// into levels (levels beyond len(levels) are dropped), then returns it
+// to the pool.
+func (s *queryScratch) release(ops *cube.OpCounter, levels []uint64) {
+	ops.Add(s.ops)
+	if s.lvOn {
+		for i, n := range s.lv {
+			if i < len(levels) {
+				levels[i] += n
+			}
+		}
+	}
+	putQueryScratch(s)
 }

@@ -330,13 +330,18 @@ func checkDescent(t *testing.T, state string, tr *Tree, r *rand.Rand) {
 	beyond[0] += 3
 	points = append(points, below, beyond)
 	for _, p := range points {
-		var gotOps, wantOps cube.OpCounter
-		var gotLv, wantLv []uint64
-		got := tr.prefixWithOps(p, &gotOps, &gotLv)
+		var plainOps, wantOps cube.OpCounter
+		var wantLv []uint64
+		plain := tr.prefixWithOps(p, &plainOps)
+		got, gotOps, gotLv := tracedPrefix(tr, p)
 		want := refPrefixWithOps(tr, p, &wantOps, &wantLv)
 		if got != want || gotOps != wantOps || !reflect.DeepEqual(gotLv, wantLv) {
 			t.Fatalf("%s: Prefix(%v) = %d ops %+v lv %v; reference %d ops %+v lv %v",
 				state, p, got, gotOps, gotLv, want, wantOps, wantLv)
+		}
+		if plain != got || plainOps != gotOps {
+			t.Fatalf("%s: untraced Prefix(%v) = %d ops %+v; traced %d ops %+v",
+				state, p, plain, plainOps, got, gotOps)
 		}
 	}
 	for i := 0; i < 50; i++ {
@@ -372,6 +377,27 @@ func checkDescent(t *testing.T, state string, tr *Tree, r *rand.Rand) {
 				state, blo, bhi, got, gotOps, want, wantOps)
 		}
 	}
+}
+
+// tracedPrefix answers the prefix at p the way a traced batch runs a
+// corner — on a cornerScratch with the per-level visit profile on —
+// and returns the value, the op counts and the profile (nil when the
+// descent visits nothing).
+func tracedPrefix(t *Tree, p grid.Point) (int64, cube.OpCounter, []uint64) {
+	var ops cube.OpCounter
+	if t.root == noRec && len(t.pending) == 0 {
+		return 0, ops, nil
+	}
+	s := t.cornerScratch([]uint64{})
+	defer s.release(&ops, nil)
+	for i, v := range p {
+		if v < t.origin[i] {
+			return 0, ops, nil
+		}
+		s.q[i] = min(v-t.origin[i], t.n-1)
+	}
+	v := t.prefixAt(s)
+	return v, s.ops, append([]uint64(nil), s.lv...)
 }
 
 // hiIncl turns an exclusive high corner into an inclusive one.

@@ -79,7 +79,7 @@ func (t *Tree) boxPrefix(b *boxRec, k, j int, l []int, ops *cube.OpCounter) int6
 	if t.d == 2 {
 		return t.rowSum2(b, k, j, l[0], ops)
 	}
-	return t.ar.side.at(b.ref+int32(j)).tr.prefixWithOps(grid.Point(l), ops, nil)
+	return t.ar.side.at(b.ref+int32(j)).tr.prefixWithOps(grid.Point(l), ops)
 }
 
 // boxStorage returns the int64 values a box of side k retains: its

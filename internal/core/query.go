@@ -30,7 +30,7 @@ func (t *Tree) Prefix(p grid.Point) int64 {
 // re-reading shared state.
 func (t *Tree) PrefixOps(p grid.Point) (int64, cube.OpCounter) {
 	var ops cube.OpCounter
-	v := t.prefixWithOps(p, &ops, nil)
+	v := t.prefixWithOps(p, &ops)
 	t.ops.AtomicAdd(ops)
 	return v, ops
 }
@@ -38,15 +38,7 @@ func (t *Tree) PrefixOps(p grid.Point) (int64, cube.OpCounter) {
 // prefixWithOps answers a prefix query, accumulating operation counts
 // into ops instead of the tree's shared counter. Nested group trees use
 // this entry point so an entire query merges its counts exactly once.
-//
-// When lv is non-nil the call also counts the outer tree's node visits
-// per recursion depth into *lv (grown as needed). Nested row-sum group
-// descents count into ops.NodeVisits as usual but not into lv — the
-// per-level profile tracks the Theorem 1 descent of the outer tree,
-// which the EXPLAIN budget check compares against one visit per level
-// per corner. Only the tracing path passes lv; the normal query path
-// never sets the level flag.
-func (t *Tree) prefixWithOps(p grid.Point, ops *cube.OpCounter, lv *[]uint64) int64 {
+func (t *Tree) prefixWithOps(p grid.Point, ops *cube.OpCounter) int64 {
 	if len(p) != t.d || (t.root == noRec && len(t.pending) == 0) {
 		return 0
 	}
@@ -59,20 +51,8 @@ func (t *Tree) prefixWithOps(p grid.Point, ops *cube.OpCounter, lv *[]uint64) in
 	for i, v := range p {
 		s.q[i] = min(v-t.origin[i], t.n-1)
 	}
-	if lv != nil {
-		s.lvOn = true
-		s.lv = s.lv[:0]
-	}
 	sum := t.prefixAt(s)
 	ops.Add(s.ops)
-	if lv != nil {
-		for i, n := range s.lv {
-			for len(*lv) <= i {
-				*lv = append(*lv, 0)
-			}
-			(*lv)[i] += n
-		}
-	}
 	putQueryScratch(s)
 	return sum
 }

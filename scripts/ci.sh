@@ -32,9 +32,11 @@ go test -run 'WAL|Replay|Crash|Corrupt|Torn|Golden|Frame' -count=1 . ./internal/
 go test -run - -bench BenchmarkTelemetryOverhead -benchtime 0.5s .
 # Dense read benchmarks: one iteration each of the flat d = 2 arm, the
 # delegating arm of a grown, unmaterialised d = 2 cube and the
-# nested-cube d = 3 arm of the overlay descent (ns/op is not gated
-# here; the benchmarks must build and answer).
-go test -run - -bench 'RangeQuery/(dense|grown)' -benchtime 1x .
+# nested-cube d = 3 arm of the overlay descent, plus the cold batched
+# engine on the dense 1024² cube below (dashboard) and above (random
+# boxes) its fan-out crossover (ns/op is not gated here; the benchmarks
+# must build and answer).
+go test -run - -bench '(RangeQuery|RangeSumBatch)$/(dense|grown|dashboard|random)' -benchtime 1x .
 # Batch-equivalence property tier: a planned RangeSumBatch must answer
 # exactly what a sequential RangeSum loop answers, on every Cube
 # implementation, grown domains and sharded cubes included (DESIGN.md
@@ -44,9 +46,12 @@ go test -run 'RangeSumBatch|BatchTelemetry|SumBatch' -count=1 . ./internal/cubes
 # agree exactly with the classic reference — cube-level op sequences,
 # snapshot round-trips across backends, the psum fuzz seed corpus, the
 # auto promotion tests, core's op-count invariance and the differential
-# descent test against the reference recursion — under the race
-# detector; the allocation guards run in the plain pass above.
-go test -race -run 'Backend|Auto|OpCount|Descent' -count=1 . ./internal/psum ./internal/core
+# descent test against the reference recursion, and the batch engine's
+# op-count contract (a batch costs the PrefixOps of its distinct
+# cache-missing corners, on both sides of the fan-out crossover) —
+# under the race detector; the allocation guards run in the plain pass
+# above.
+go test -race -run 'Backend|Auto|OpCount|Descent|BatchMatches' -count=1 . ./internal/psum ./internal/core
 # Bench smoke: the batched engine's JSON section must produce sane
 # numbers end to end (full suite writes BENCH_pr6.json), and the
 # backend matrix row guards the blocked backend's constant factor
