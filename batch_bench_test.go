@@ -10,13 +10,7 @@ import (
 // benchmarks share.
 func benchLoadedCube(b *testing.B) *DynamicCube {
 	b.Helper()
-	dims := []int{1024, 256}
-	vals := make([]int64, dims[0]*dims[1])
-	r := workload.NewRNG(101)
-	for i := 0; i < 4096; i++ {
-		vals[r.Intn(len(vals))] += 1 + r.Int63n(50)
-	}
-	c, err := BuildDynamic(dims, vals, Options{})
+	c, err := BuildDynamic([]int{1024, 256}, benchPreload([]int{1024, 256}), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

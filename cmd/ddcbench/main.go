@@ -1,12 +1,14 @@
 // Command ddcbench regenerates the paper's tables and figures and the
-// repository's measured-scaling and ablation experiments.
+// repository's measured-scaling and ablation experiments, replays
+// workload captures, and runs the mixed-workload suite. The system's
+// end-to-end numbers come from perfbench (perfbench/run.py) and its
+// component timings from the Go benchmarks (go test -bench).
 //
 // Usage:
 //
 //	ddcbench -list           list experiment ids
 //	ddcbench <id> [<id>...]  run selected experiments
 //	ddcbench all             run everything (the EXPERIMENTS.md inputs)
-//	ddcbench -json out.json  run the concurrency perf suite, write JSON
 //	ddcbench -mixed out.json [-procs 1,2,4,max] [-smoke]
 //	                         run the mixed-workload suite (direct vs
 //	                         buffered write fronts, checkpoint stall,
@@ -30,8 +32,8 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csvOut := flag.Bool("csv", false, "emit CSV series instead of tables (figure1 only)")
-	jsonOut := flag.String("json", "", "run the concurrency perf suite and write JSON results to `file`")
-	smoke := flag.Bool("smoke", false, "with -json or -mixed, run only the fast guarded tier (CI smoke)")
+	jsonOut := flag.String("json", "", "with -replay, write the JSON report to `file` instead of stdout")
+	smoke := flag.Bool("smoke", false, "with -mixed, run only the fast guarded tier (CI smoke)")
 	mixed := flag.String("mixed", "", "run the mixed-workload suite (direct vs buffered fronts) and write JSON results to `file`")
 	procs := flag.String("procs", "1,2,4,max", "with -mixed, comma-separated GOMAXPROCS sweep values (\"max\" = NumCPU)")
 	version := flag.Bool("version", false, "print version, Go toolchain and backend, then exit")
@@ -54,6 +56,10 @@ func main() {
 		fmt.Printf("ddcbench version=%s go_version=%s backend=%s\n", ddc.Version, runtime.Version(), be)
 		return
 	}
+	if *jsonOut != "" && *replay == "" {
+		fmt.Fprintln(os.Stderr, "ddcbench: -json names -replay's output file; it needs -replay")
+		os.Exit(2)
+	}
 	if *replay != "" {
 		if err := runReplay(*replay, *backend, *replaySpeed, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "ddcbench:", err)
@@ -63,13 +69,6 @@ func main() {
 	}
 	if *mixed != "" {
 		if err := runMixedSuite(*mixed, *procs, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "ddcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut != "" {
-		if err := runPerfSuite(*jsonOut, *smoke); err != nil {
 			fmt.Fprintln(os.Stderr, "ddcbench:", err)
 			os.Exit(1)
 		}

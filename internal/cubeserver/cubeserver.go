@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"ddc"
-	"ddc/internal/costmodel"
 	"ddc/internal/cubecli"
 	"ddc/internal/logrec"
 	"ddc/internal/obs"
@@ -743,9 +742,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleWorkload serves the live workload profile: the read/write mix,
 // the cube heatmap (read and write planes plus dimension-0 marginals),
-// the query-shape histograms, the heavy-hitter boxes, the backend the
-// cost model would pick for the observed mix, and — when `ddcserver
-// -workload-capture` is active — the capture's progress counters.
+// the query-shape histograms, the heavy-hitter boxes, and — when
+// `ddcserver -workload-capture` is active — the capture's progress
+// counters.
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -759,9 +758,8 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		capture["stats"] = st
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"profile":             tel.WorkloadSnapshot(),
-		"recommended_backend": costmodel.RecommendBackend(tel.WorkloadProfile()),
-		"capture":             capture,
+		"profile": tel.WorkloadSnapshot(),
+		"capture": capture,
 	})
 }
 

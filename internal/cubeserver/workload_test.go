@@ -78,9 +78,6 @@ func TestWorkloadEndpointSchema(t *testing.T) {
 		}
 	}
 
-	if rb, ok := out["recommended_backend"].(string); !ok || rb == "" {
-		t.Errorf("recommended_backend: %v", out["recommended_backend"])
-	}
 	capture, ok := out["capture"].(map[string]interface{})
 	if !ok || capture["attached"] != false {
 		t.Errorf("capture: %v", out["capture"])

@@ -327,8 +327,8 @@ func NewWorkloadProfiler(reads, writes *Counter) *WorkloadProfiler {
 
 // SetEnabled toggles recording; construction enables it. Disabling the
 // profiler while the owning telemetry stays on isolates the profiler's
-// cost (BenchmarkProfilerOverhead) and quiets the collectors without
-// losing accumulated state.
+// cost (the root package's BenchmarkProfilerGuard) and quiets the
+// collectors without losing accumulated state.
 func (w *WorkloadProfiler) SetEnabled(on bool) { w.enabled.Store(on) }
 
 // Enabled reports whether recording is on.

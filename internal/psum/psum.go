@@ -32,21 +32,18 @@
 //
 // The backend is a rebuild-time choice, not a wire format: snapshots
 // and WAL records store raw cells, so any snapshot loads into any
-// backend (and Marshal/Unmarshal below round-trip a backend's contents
-// through a backend-agnostic byte encoding).
+// backend.
 package psum
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Kind names a prefix-sum backend implementation.
 type Kind string
 
 // The registered backends. Classic is the paper-exact reference;
-// blocked and blockfenwick are the cache-optimized layouts benchmarked
-// in BENCH_pr6.json; Auto, the default, chooses between classic and
+// blocked and blockfenwick are the cache-optimized layouts (their
+// kernels are priced by BenchmarkBackendPrefixSum and
+// BenchmarkBackendAdd); Auto, the default, chooses between classic and
 // blocked per group from the group's density.
 const (
 	Classic      Kind = "classic"
@@ -197,62 +194,3 @@ func Flat(b Backend) ([]int64, bool) {
 	}
 	return nil, false
 }
-
-// Marshal encodes a backend's logical contents — universe plus the
-// nonzero (key, value) pairs — in a backend-agnostic byte form: uvarint
-// universe and count, then uvarint key deltas and zigzag-varint values.
-// Any backend's bytes unmarshal into any kind; this is the serialize
-// hook of the Backend contract (snapshots and checkpoints use the same
-// cells-not-layout principle).
-func Marshal(b Backend) []byte {
-	buf := make([]byte, 0, 16+b.Len()*3)
-	buf = binary.AppendUvarint(buf, uint64(b.Universe()))
-	buf = binary.AppendUvarint(buf, uint64(b.Len()))
-	prev := 0
-	b.ForEach(func(key int, value int64) {
-		buf = binary.AppendUvarint(buf, uint64(key-prev))
-		buf = binary.AppendUvarint(buf, zigzag(value))
-		prev = key
-	})
-	return buf
-}
-
-// Unmarshal rebuilds a backend of the given kind from Marshal's bytes.
-func Unmarshal(data []byte, kind Kind, fanout int) (Backend, error) {
-	universe, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("psum: truncated universe")
-	}
-	data = data[n:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("psum: truncated count")
-	}
-	data = data[n:]
-	if universe > 1<<40 {
-		return nil, fmt.Errorf("psum: implausible universe %d", universe)
-	}
-	b := New(kind, int(universe), 0)
-	key := 0
-	for i := uint64(0); i < count; i++ {
-		dk, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("psum: truncated key %d", i)
-		}
-		data = data[n:]
-		zv, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("psum: truncated value %d", i)
-		}
-		data = data[n:]
-		key += int(dk)
-		if key < 0 || key >= int(universe) {
-			return nil, fmt.Errorf("psum: key %d outside universe %d", key, universe)
-		}
-		b.Add(key, unzigzag(zv))
-	}
-	return b, nil
-}
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -160,54 +160,6 @@ func TestCrossBackendAgreement(t *testing.T) {
 	}
 }
 
-// TestMarshalRoundTrip serializes each backend and rebuilds it as every
-// kind (including itself): the logical contents must survive any
-// cross-backend round trip — the serialize leg of the Backend contract.
-func TestMarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, src := range Kinds() {
-		b := New(src, 100, 8)
-		for i := 0; i < 60; i++ {
-			b.Add(rng.Intn(100), rng.Int63n(100)-50)
-		}
-		data := Marshal(b)
-		for _, dst := range Kinds() {
-			got, err := Unmarshal(data, dst, 8)
-			if err != nil {
-				t.Fatalf("%s->%s: %v", src, dst, err)
-			}
-			for k := -1; k <= 100; k++ {
-				if gv, wv := got.PrefixSum(k), b.PrefixSum(k); gv != wv {
-					t.Fatalf("%s->%s: PrefixSum(%d) = %d, want %d", src, dst, k, gv, wv)
-				}
-			}
-			if got.Len() != b.Len() || got.Universe() != b.Universe() {
-				t.Fatalf("%s->%s: len/universe (%d,%d) != (%d,%d)",
-					src, dst, got.Len(), got.Universe(), b.Len(), b.Universe())
-			}
-		}
-	}
-}
-
-// TestUnmarshalCorrupt asserts the decoder rejects truncated or
-// inconsistent bytes rather than panicking.
-func TestUnmarshalCorrupt(t *testing.T) {
-	b := New(Blocked, 32, 0)
-	b.Add(3, 7)
-	b.Add(31, 9)
-	data := Marshal(b)
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := Unmarshal(data[:cut], Classic, 8); err == nil && cut < len(data) {
-			// A clean prefix may decode fewer pairs only if the count
-			// also shrank — with a fixed count any truncation must error.
-			t.Fatalf("truncated to %d of %d bytes decoded without error", cut, len(data))
-		}
-	}
-	if _, err := Unmarshal([]byte{0xFF}, Classic, 8); err == nil {
-		t.Fatal("garbage decoded without error")
-	}
-}
-
 // TestParseKind covers the registry: canonical names, the default, and
 // rejection of unknowns.
 func TestParseKind(t *testing.T) {

@@ -601,7 +601,10 @@ func decodeRecord(payload []byte, d, version int, last *int64) (CaptureRecord, e
 		if err != nil {
 			return rec, err
 		}
-		if n == 0 || n > 1<<20 {
+		// Every box takes at least 2d payload bytes (one varint byte per
+		// coordinate), so a count the rest of the payload cannot hold is
+		// corruption, rejected before it sizes the allocation below.
+		if n == 0 || n > 1<<20 || n > uint64(len(p.buf)-p.off)/uint64(2*d) {
 			return rec, fmt.Errorf("%w: batch of %d boxes", ErrBadCapture, n)
 		}
 		rec.Batch = make([]Query, n)

@@ -2,11 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ddc/internal/logrec"
@@ -177,6 +179,74 @@ func TestCaptureRecordCorruptionMatrix(t *testing.T) {
 			if !errors.Is(err, ErrBadCapture) && !(err == nil && info.Torn && lengthFlip) {
 				t.Fatalf("flip %d: err = %v, torn = %v", i, err, info.Torn)
 			}
+		}
+	})
+}
+
+// oversizedBatch returns a 53-byte DDCWKLD2 stream over a 16×16 cube:
+// the header and one CRC-valid batch frame whose 5-byte payload claims
+// 1<<20 boxes.
+func oversizedBatch() []byte {
+	data := []byte(CaptureMagic)
+	data = binary.LittleEndian.AppendUint32(data, 2) // d
+	data = binary.LittleEndian.AppendUint32(data, 1) // sample 1-in-N
+	data = binary.LittleEndian.AppendUint64(data, 0) // base timestamp
+	data = binary.LittleEndian.AppendUint64(data, 16)
+	data = binary.LittleEndian.AppendUint64(data, 16)
+	var buf bytes.Buffer
+	fw := logrec.NewWriter(&buf)
+	frame := append(fw.Begin(), OpBatch, 0)
+	frame = binary.AppendUvarint(frame, 1<<20)
+	if _, err := fw.End(frame); err != nil {
+		panic(err)
+	}
+	return append(data, buf.Bytes()...)
+}
+
+// TestReadCaptureRejectsOversizedBatchCount: a batch count the payload
+// cannot hold is corruption, rejected before it sizes an allocation
+// (each box needs at least 2d bytes, so this frame holds none).
+func TestReadCaptureRejectsOversizedBatchCount(t *testing.T) {
+	data := oversizedBatch()
+	if len(data) != 53 {
+		t.Fatalf("stream is %d bytes, want 53", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCapture(bytes.NewReader(data), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadCapture) {
+		t.Fatalf("err = %v, want ErrBadCapture", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("rejecting a 53-byte capture allocated %d bytes", alloc)
+	}
+}
+
+// FuzzReadCapture: arbitrary bytes must never panic the reader, and a
+// stream it accepts counts every record as an update or a query, each
+// delivered once to the callback.
+func FuzzReadCapture(f *testing.F) {
+	for _, name := range []string{"golden-wkld1.bin", "golden-wkld2.bin"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(oversizedBatch())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seen := 0
+		info, err := ReadCapture(bytes.NewReader(data), func(CaptureRecord) error {
+			seen++
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		if info.Records != info.Updates+info.Queries || seen != info.Records {
+			t.Fatalf("records %d, updates %d + queries %d, callbacks %d",
+				info.Records, info.Updates, info.Queries, seen)
 		}
 	})
 }

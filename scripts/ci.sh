@@ -3,12 +3,12 @@
 # concurrency tier (see README "Testing" and DESIGN.md §7), the
 # fault-injection durability tier (DESIGN.md §9: crash/corruption
 # matrices over the WAL and the store), the telemetry-overhead
-# benchmark (DESIGN.md §8: the disabled fast path must stay within 2%
-# of pre-telemetry ns/op), the dense read benchmarks, the
-# batch-equivalence property tier and the batched-query bench smoke
-# (DESIGN.md §10), the mixed-workload tier for the buffered write front
-# (DESIGN.md §15), the end-to-end benchmark module's own checks plus one
-# answer-checked smoke run, and last the mixed bench smoke.
+# benchmark (DESIGN.md §8; reported, not gated), the dense read
+# benchmarks, the batch-equivalence property tier (DESIGN.md §10), the
+# backend and workload-profiler guard benchmarks, the mixed-workload
+# tier for the buffered write front (DESIGN.md §15), the end-to-end
+# benchmark module's own checks plus one answer-checked smoke run, and
+# last the mixed bench smoke.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -29,6 +29,11 @@ go test -race -run Concurrent ./...
 # truncate/flip/I/O-fault matrix, the capture's record-region matrix and
 # the golden format fixtures, with verbose failure output.
 go test -run 'WAL|Replay|Crash|Corrupt|Torn|Golden|Frame' -count=1 . ./internal/store ./internal/logrec ./internal/workload
+# Telemetry overhead (DESIGN.md §8): disabled vs enabled Prefix ns/op,
+# reported for the log. No ratio is gated here: the disabled path sits
+# within about 1-2% of the core Prefix, too close to gate on this
+# benchmark's spread. TestTracingDisabledAllocs (below) holds the
+# disabled path at 0 allocs/op.
 go test -run - -bench BenchmarkTelemetryOverhead -benchtime 0.5s .
 # Dense read benchmarks: one iteration each of the flat d = 2 arm, the
 # delegating arm of a grown, unmaterialised d = 2 cube and the
@@ -52,30 +57,32 @@ go test -run 'RangeSumBatch|BatchTelemetry|SumBatch' -count=1 . ./internal/cubes
 # under the race detector; the allocation guards run in the plain pass
 # above.
 go test -race -run 'Backend|Auto|OpCount|Descent|BatchMatches' -count=1 . ./internal/psum ./internal/core
-# Bench smoke: the batched engine's JSON section must produce sane
-# numbers end to end (full suite writes BENCH_pr6.json), and the
-# backend matrix row guards the blocked backend's constant factor
-# against the classic reference — a layout regression fails here.
-go run ./cmd/ddcbench -json /tmp/ddc_batch_smoke.json -smoke
+# Guard benchmarks (guard_bench_test.go): the blocked backend's point
+# sum and point add must each cost at most 1.4x classic's on a d = 2
+# 256² cube (a flat-layout regression fails here), and the workload
+# profiler's median paired on/off ratio over 150 interleaved pairs of
+# 100 d = 3 range sums must stay at or under 1.02.
+go test -run - -bench BackendGuard .
+go test -run - -bench ProfilerGuard -benchtime 1x .
 # Observability tier (DESIGN.md §12): the span/tracing property tests
 # under the race detector, the span-count and EXPLAIN-schema contracts,
 # then a live smoke — boot a real ddcserver, poll /readyz, run a traced
 # POST /v1/explain and validate its schema (trace id, plan, Theorem 1
 # visit budget, stage span tree), and exit via SIGTERM so the graceful
-# shutdown flush runs. The overhead bench above already gates the
-# disabled path; the tests here pin its 0 allocs/op.
+# shutdown flush runs. TestTracingDisabledAllocs pins the disabled
+# path at 0 allocs/op.
 go test -race -run 'Span|Traceparent' -count=1 . ./internal/obs ./internal/cubeserver
 go test -run 'TracingDisabledAllocs|ExplainBatchSchema|Readyz|HealthAndReadiness|TraceRingStats|BuildInfo' -count=1 . ./internal/cubeserver
 go build -o /tmp/ddcserver_smoke ./cmd/ddcserver
 go run ./scripts/obssmoke -server /tmp/ddcserver_smoke
 # Workload-intelligence tier (DESIGN.md §13): the query-shape profiler,
-# capture codec, top-K sketch and cost-model bridge contracts; -version
-# on both binaries; then the capture→replay equivalence smoke — boot a
-# ddcserver with -workload-capture, drive mixed traffic over HTTP, and
-# require ddcbench -replay to reproduce the live answers bit-exactly
-# under every prefix-sum backend. The profiler-overhead gate runs inside
-# the ddcbench smoke above (workload/profiler-* rows, <2% budget).
-go test -run 'Workload|Capture|TopK|LogHist|HotSlabs|RecommendBackend' -count=1 . ./internal/obs ./internal/workload ./internal/costmodel ./internal/cubeserver
+# capture codec (FuzzReadCapture's seed corpus included) and top-K
+# sketch contracts; -version on both binaries; then the capture→replay
+# equivalence smoke — boot a ddcserver with -workload-capture, drive
+# mixed traffic over HTTP, and require ddcbench -replay to reproduce
+# the live answers bit-exactly under every prefix-sum backend. The
+# profiler-overhead guard is BenchmarkProfilerGuard above.
+go test -run 'Workload|Capture|TopK|LogHist' -count=1 . ./internal/obs ./internal/workload ./internal/cubeserver
 /tmp/ddcserver_smoke -version
 go build -o /tmp/ddcbench_smoke ./cmd/ddcbench
 /tmp/ddcbench_smoke -version

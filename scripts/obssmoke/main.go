@@ -323,8 +323,7 @@ func checkWorkload(base string) error {
 			} `json:"heatmap"`
 			ExtentLog2 [][]uint64 `json:"extent_log2"`
 		} `json:"profile"`
-		Recommended string `json:"recommended_backend"`
-		Capture     *struct {
+		Capture *struct {
 			Attached *bool `json:"attached"`
 		} `json:"capture"`
 	}
@@ -356,9 +355,6 @@ func checkWorkload(base string) error {
 	}
 	if len(wl.Profile.ExtentLog2) != 2 {
 		return fmt.Errorf("/v1/workload extent_log2 has %d dims, want 2", len(wl.Profile.ExtentLog2))
-	}
-	if wl.Recommended == "" {
-		return fmt.Errorf("/v1/workload recommended_backend is empty")
 	}
 	if wl.Capture == nil || wl.Capture.Attached == nil || *wl.Capture.Attached {
 		return fmt.Errorf("/v1/workload capture block wrong: %+v", wl.Capture)

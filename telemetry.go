@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ddc/internal/core"
-	"ddc/internal/costmodel"
 	"ddc/internal/cube"
 	"ddc/internal/logrec"
 	"ddc/internal/obs"
@@ -445,8 +444,8 @@ func distFrom(s obs.HistStats) DistStats {
 }
 
 // TelemetrySnapshot is a point-in-time copy of every telemetry metric,
-// JSON-ready (cmd/ddcbench embeds it in its -json reports so BENCH
-// files carry visit counts alongside ns/op).
+// JSON-ready (cmd/ddcbench embeds it in its -replay and -mixed reports
+// so they carry visit counts alongside ns/op).
 type TelemetrySnapshot struct {
 	Enabled bool `json:"enabled"`
 
@@ -849,24 +848,6 @@ func (t *Telemetry) WorkloadSnapshot() obs.WorkloadSnapshot {
 	snap := t.wl.Snapshot()
 	snap.Enabled = snap.Enabled && t.enabled.Load()
 	return snap
-}
-
-// WorkloadProfile bridges the live collectors into the cost layer: the
-// returned profile feeds costmodel.RecommendBackend (backend choice
-// from the observed read/write mix) and costmodel.HotSlabs (shard
-// boundaries from the dimension-0 read-heat marginal).
-func (t *Telemetry) WorkloadProfile() costmodel.WorkloadProfile {
-	snap := t.wl.Snapshot()
-	p := costmodel.WorkloadProfile{
-		Reads:      snap.Reads,
-		Writes:     snap.Writes,
-		ExtentLog2: snap.ExtentLog2,
-		VolumeLog2: snap.VolumeLog2,
-	}
-	if snap.Heatmap != nil {
-		p.Dim0Heat = snap.Heatmap.ReadDim0
-	}
-	return p
 }
 
 // AttachCapture directs every profiled operation into the capture

@@ -371,8 +371,10 @@ func TestConcurrentOpCounterMergeProperty(t *testing.T) {
 
 // BenchmarkTelemetryOverhead compares the prefix-query fast path with
 // telemetry disabled (the default; one atomic flag load per call)
-// against the fully instrumented path. The disabled sub-benchmark is
-// the CI gate: its ns/op must stay within 2% of pre-telemetry numbers.
+// against the fully instrumented path. It gates nothing:
+// the disabled path's 0 allocs/op is held by TestTracingDisabledAllocs,
+// and its time sits within about 1-2% of the core Prefix, too close to
+// this benchmark's spread to gate.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	const n = 1024
 	c, err := NewDynamic([]int{n, n})
