@@ -61,6 +61,28 @@ func sequentialRangeSumBatch(c Cube, queries []RangeQuery) ([]int64, error) {
 	return out, nil
 }
 
+// batchPlanner is a cube or wrapper whose batches run through one
+// planned engine, RangeSumBatchTrace: DynamicCube, ShardedCube and
+// Buffered. A nil span context is the engine's untraced path; the
+// untraced entry points (RangeSumBatch, RangeSumBatchStats and
+// DynamicCube.RangeSumBatchInto) are derived from it.
+type batchPlanner interface {
+	RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error)
+}
+
+// plannedBatch runs p's engine untraced into a fresh result slice.
+func plannedBatch(p batchPlanner, queries []RangeQuery) ([]int64, BatchStats, error) {
+	if len(queries) == 0 {
+		return nil, BatchStats{}, nil
+	}
+	out := make([]int64, len(queries))
+	st, _, err := p.RangeSumBatchTrace(queries, out, nil, obs.NoSpan)
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
+}
+
 // RangeSumBatch implements Cube: the batch is planned as a whole —
 // every query expands to its signed corner prefix terms, identical
 // corners are deduplicated across the batch so each distinct prefix
@@ -73,18 +95,31 @@ func sequentialRangeSumBatch(c Cube, queries []RangeQuery) ([]int64, error) {
 // Like the other read methods it is safe for any number of concurrent
 // callers, provided no mutation runs at the same time.
 func (c *DynamicCube) RangeSumBatch(queries []RangeQuery) ([]int64, error) {
-	sums, _, err := c.rangeSumBatch(queries)
+	sums, _, err := plannedBatch(c, queries)
 	return sums, err
 }
 
 // RangeSumBatchStats is RangeSumBatch returning, in addition, the
 // batch's sharing statistics (dedup ratio, cache hits).
 func (c *DynamicCube) RangeSumBatchStats(queries []RangeQuery) ([]int64, BatchStats, error) {
-	return c.rangeSumBatch(queries)
+	return plannedBatch(c, queries)
+}
+
+// RangeSumBatchInto is RangeSumBatch writing the results into out
+// (len(out) must equal len(queries)). With a warm or a cold prefix
+// cache the entire call is allocation-free for batches below the
+// engine's fan-out crossover — the planning and query scratch, the box
+// conversion buffer, the cache's storage and the result storage are
+// all reused — which is the steady-state form latency-sensitive callers
+// poll with (the allocation-regression tests pin it at zero allocs for
+// every backend).
+func (c *DynamicCube) RangeSumBatchInto(queries []RangeQuery, out []int64) error {
+	_, _, err := c.RangeSumBatchTrace(queries, out, nil, obs.NoSpan)
+	return err
 }
 
 // boxPool recycles the RangeQuery -> core.Box conversion buffers, so
-// the batch entry points convert without allocating in steady state.
+// the batch engine converts without allocating in steady state.
 var boxPool = sync.Pool{New: func() interface{} { return new([]core.Box) }}
 
 // getBoxes converts queries into a pooled core.Box buffer; hand it back
@@ -106,72 +141,43 @@ func putBoxes(bp *[]core.Box) {
 	boxPool.Put(bp)
 }
 
-// RangeSumBatchInto is RangeSumBatch writing the results into out
-// (len(out) must equal len(queries)). With a warm or a cold prefix
-// cache the entire call is allocation-free for batches below the
-// engine's fan-out crossover — the planning and query scratch, the box
-// conversion buffer, the cache's storage and the result storage are
-// all reused — which is the steady-state form latency-sensitive callers
-// poll with (the allocation-regression tests pin it at zero allocs for
-// every backend).
-func (c *DynamicCube) RangeSumBatchInto(queries []RangeQuery, out []int64) error {
-	if len(out) != len(queries) {
-		return fmt.Errorf("ddc: batch out has %d slots for %d queries", len(out), len(queries))
-	}
-	bp := getBoxes(queries)
-	defer putBoxes(bp)
-	tel := globalTelemetry
-	if !tel.on() {
-		return c.t.RangeSumBatchInto(*bp, out)
-	}
-	start := time.Now()
-	ops, st, err := c.t.RangeSumBatchIntoOps(*bp, out)
-	if err != nil {
-		return err
-	}
-	stats := BatchStats{Queries: len(queries)}
-	stats.merge(st)
-	tel.recordBatch(len(queries), c.be, time.Since(start), ops, stats)
-	if !c.noProfile {
-		tel.workloadBatch(c, queries)
-	}
-	return nil
-}
-
 // TreeLevels returns the number of tree levels one corner descent can
 // touch (root down to the leaf tile). Theorem 1 bounds a descent to one
 // outer-tree node per level, so TreeLevels × descents is the visit
 // budget the EXPLAIN endpoint checks span-level profiles against.
 func (c *DynamicCube) TreeLevels() int { return c.t.Levels() }
 
-// RangeSumBatchTrace is RangeSumBatchInto recording span-level
-// observability into sc under parent: one child span per pipeline stage
-// (plan, dedup, execute, gather) and the per-level outer-tree visit
-// profile of the descents the batch actually paid for (levels[0] is the
-// root level). Telemetry is still recorded when enabled. The traced
-// path allocates; it exists for /v1/explain and traced slow requests,
-// never for the steady-state hot path.
+// RangeSumBatchTrace is the cube's one batch engine, writing the
+// results into out (len(out) must equal len(queries)). A nil sc is the
+// untraced path: with telemetry disabled it costs one atomic load over
+// the core engine, and with telemetry enabled a sampled or slow batch
+// lands in the trace ring as a flat trace. A live sc records one child
+// span per pipeline stage (plan, dedup, execute, gather) under parent
+// and returns the per-level outer-tree visit profile of the descents
+// the batch actually paid for (levels[0] is the root level); the
+// caller owns that trace, so no flat trace is admitted. Telemetry is
+// recorded either way when enabled. The traced path allocates; it
+// exists for /v1/explain and traced requests, never for the
+// steady-state hot path.
 func (c *DynamicCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
-	if len(out) != len(queries) {
-		return BatchStats{}, nil, fmt.Errorf("ddc: batch out has %d slots for %d queries", len(out), len(queries))
-	}
 	bp := getBoxes(queries)
 	defer putBoxes(bp)
 	tel := globalTelemetry
+	if !tel.on() {
+		_, st, levels, err := c.t.RangeSumBatchTraceOps(*bp, out, sc, parent)
+		return BatchStats(st), levels, err
+	}
 	start := time.Now()
 	ops, st, levels, err := c.t.RangeSumBatchTraceOps(*bp, out, sc, parent)
 	if err != nil {
-		return BatchStats{}, nil, err
+		return BatchStats(st), nil, err
 	}
-	stats := BatchStats{Queries: len(queries)}
-	stats.merge(st)
-	if tel.on() {
-		tel.recordBatch(len(queries), c.be, time.Since(start), ops, stats)
-		if !c.noProfile {
-			tel.workloadBatch(c, queries)
-		}
+	var src workloadDomain
+	if !c.noProfile {
+		src = c
 	}
-	return stats, levels, nil
+	tel.batchDone(src, queries, c.be, 0, start, ops, BatchStats(st), sc == nil)
+	return BatchStats(st), levels, nil
 }
 
 // InvalidatePrefixCache drops every cached corner prefix value by
@@ -179,35 +185,3 @@ func (c *DynamicCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 // invalidate automatically; this explicit hook serves benchmarks and
 // tests that need a cold cache on an otherwise unchanged cube.
 func (c *DynamicCube) InvalidatePrefixCache() { c.t.InvalidatePrefixCache() }
-
-func (c *DynamicCube) rangeSumBatch(queries []RangeQuery) ([]int64, BatchStats, error) {
-	bp := getBoxes(queries)
-	defer putBoxes(bp)
-	stats := BatchStats{Queries: len(queries)}
-	tel := globalTelemetry
-	if !tel.on() {
-		sums, _, st, err := c.t.RangeSumBatchOps(*bp)
-		stats.merge(st)
-		return sums, stats, err
-	}
-	start := time.Now()
-	sums, ops, st, err := c.t.RangeSumBatchOps(*bp)
-	stats.merge(st)
-	d := time.Since(start)
-	if err != nil {
-		return nil, stats, err
-	}
-	tel.recordBatch(len(queries), c.be, d, ops, stats)
-	if !c.noProfile {
-		tel.workloadBatch(c, queries)
-	}
-	if sampled, slow := tel.shouldTrace(d); sampled || slow {
-		tel.trace(QueryTrace{
-			Op: "rangesum_batch", Start: start, DurationNs: d.Nanoseconds(),
-			Batch: len(queries), NodeVisits: ops.NodeVisits,
-			QueryCells: ops.QueryCells, Contributions: contribMap(ops),
-			Slow: slow,
-		})
-	}
-	return sums, stats, nil
-}

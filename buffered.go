@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ddc/internal/logrec"
 	"ddc/internal/obs"
 )
 
@@ -263,6 +265,10 @@ type Buffered struct {
 	dyn   *DynamicCube // non-nil when inner is a DynamicCube
 	d     int
 	opts  BufferedOptions
+	// planned reports that a planner answers inner's batches (inner
+	// itself, or the cube a wrapper around it unwraps to), recording
+	// them and admitting their flat traces.
+	planned bool
 
 	autoGrow bool
 	bounds   atomic.Pointer[bufBounds]
@@ -314,6 +320,14 @@ func NewBuffered(inner Cube, opts BufferedOptions) *Buffered {
 	if dc, ok := inner.(*DynamicCube); ok {
 		b.dyn = dc
 		b.autoGrow = dc.Options().AutoGrow
+	}
+	for c := inner; !b.planned; {
+		_, b.planned = c.(batchPlanner)
+		w, ok := c.(interface{ Unwrap() Cube })
+		if !ok {
+			break
+		}
+		c = w.Unwrap()
 	}
 	b.refreshBounds()
 	globalTelemetry.registerDeltaSource(b, b.DeltaDepth)
@@ -432,23 +446,37 @@ func (b *Buffered) writable() error {
 	return b.Err()
 }
 
-// bufferPoint coalesces one point delta into the active generation and
-// returns the new depth.
-func (b *Buffered) bufferPoint(p []int, delta int64) (depth int, coalesced bool) {
-	b.dmu.Lock()
-	a := b.active
-	b.key = packCoords(b.key[:0], p)
-	if i, ok := a.idx[string(b.key)]; ok {
-		a.slab[i].Delta += delta
-		coalesced = true
-	} else {
-		a.idx[string(b.key)] = len(a.slab)
-		a.slab = append(a.slab, PointDelta{Point: cloneInts(p), Delta: delta})
+// addPoint coalesces one point delta, whose packed coordinates are
+// key, into the generation and reports whether it merged into an
+// existing entry. The caller holds dmu exclusively.
+func (d *deltaBuf) addPoint(key []byte, p []int, delta int64) (coalesced bool) {
+	d.ops++
+	if i, ok := d.idx[string(key)]; ok {
+		d.slab[i].Delta += delta
+		return true
 	}
-	a.ops++
-	depth = a.depth()
-	b.dmu.Unlock()
-	return depth, coalesced
+	d.idx[string(key)] = len(d.slab)
+	d.slab = append(d.slab, PointDelta{Point: cloneInts(p), Delta: delta})
+	return false
+}
+
+// addBox merges a box delta into an identical outstanding box (dropping
+// it when the deltas cancel) or appends it, and reports whether it
+// merged. The caller holds dmu exclusively.
+func (d *deltaBuf) addBox(lo, hi []int, delta int64) (merged bool) {
+	d.ops++
+	for i := range d.boxes {
+		bx := &d.boxes[i]
+		if slices.Equal(bx.lo, lo) && slices.Equal(bx.hi, hi) {
+			bx.delta += delta
+			if bx.delta == 0 {
+				d.boxes = slices.Delete(d.boxes, i, i+1)
+			}
+			return true
+		}
+	}
+	d.boxes = append(d.boxes, deltaBox{lo: cloneInts(lo), hi: cloneInts(hi), delta: delta})
+	return false
 }
 
 // afterWrite applies the drain policy for the post-write depth.
@@ -484,15 +512,7 @@ func (b *Buffered) wakeMerger() {
 // Add implements Cube: validate, then buffer. The delta is visible to
 // every query that starts after Add returns.
 func (b *Buffered) Add(p []int, delta int64) error {
-	if err := b.writable(); err != nil {
-		return err
-	}
-	if err := b.checkPoint(p); err != nil {
-		return err
-	}
-	depth, coalesced := b.bufferPoint(p, delta)
-	b.afterWrite(depth, 0, coalesced)
-	return nil
+	return b.apply(logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: delta})
 }
 
 // Set implements Cube. Assignment is converted to an additive delta
@@ -500,33 +520,7 @@ func (b *Buffered) Add(p []int, delta int64) error {
 // included), read and replaced atomically with respect to every other
 // writer — so drained state is bit-exact with applying the Set directly.
 func (b *Buffered) Set(p []int, v int64) error {
-	if err := b.writable(); err != nil {
-		return err
-	}
-	if err := b.checkPoint(p); err != nil {
-		return err
-	}
-	b.applyMu.RLock()
-	b.dmu.Lock()
-	cur := b.inner.Get(p)
-	b.key = packCoords(b.key[:0], p)
-	dv, _ := deltaGet(b.active, b.key, p)
-	cur += dv
-	dv, _ = deltaGet(b.frozen, b.key, p)
-	cur += dv
-	a := b.active
-	if i, ok := a.idx[string(b.key)]; ok {
-		a.slab[i].Delta += v - cur
-	} else {
-		a.idx[string(b.key)] = len(a.slab)
-		a.slab = append(a.slab, PointDelta{Point: cloneInts(p), Delta: v - cur})
-	}
-	a.ops++
-	depth := a.depth()
-	b.dmu.Unlock()
-	b.applyMu.RUnlock()
-	b.afterWrite(depth, 0, false)
-	return nil
+	return b.apply(logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: v})
 }
 
 // RangeAdd implements Cube: the box is validated up front and buffered
@@ -534,46 +528,55 @@ func (b *Buffered) Set(p []int, v int64) error {
 // an identical outstanding box, so an update and its exact inverse
 // leave no residue.
 func (b *Buffered) RangeAdd(lo, hi []int, delta int64) error {
+	return b.apply(logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: delta})
+}
+
+// apply is the one mutator behind Add, Set and RangeAdd: validate m
+// (growing an AutoGrow inner cube), buffer it in the active generation,
+// then apply the drain policy.
+func (b *Buffered) apply(m logrec.Mutation) error {
 	if err := b.writable(); err != nil {
 		return err
 	}
-	if err := b.checkBox(lo, hi); err != nil {
+	box := m.Kind.Box()
+	var err error
+	if box {
+		err = b.checkBox(m.Lo, m.Hi)
+	} else {
+		err = b.checkPoint(m.Lo)
+	}
+	if err != nil || (box && m.Delta == 0) {
 		return err
 	}
-	if delta == 0 {
-		return nil
+	set := m.Kind == logrec.Set
+	if set {
+		// Hold the tree still while the composed value is read.
+		b.applyMu.RLock()
 	}
 	b.dmu.Lock()
 	a := b.active
-	merged := false
-	for i := range a.boxes {
-		bx := &a.boxes[i]
-		if slicesEqual(bx.lo, lo) && slicesEqual(bx.hi, hi) {
-			bx.delta += delta
-			if bx.delta == 0 {
-				a.boxes = append(a.boxes[:i], a.boxes[i+1:]...)
-			}
-			merged = true
-			break
+	var coalesced bool
+	boxes := 0
+	if box {
+		coalesced = a.addBox(m.Lo, m.Hi, m.Delta)
+		boxes = len(a.boxes)
+	} else {
+		b.key = packCoords(b.key[:0], m.Lo)
+		delta := m.Delta
+		if set {
+			dv, _ := deltaGet(b.active, b.key, m.Lo)
+			fv, _ := deltaGet(b.frozen, b.key, m.Lo)
+			delta -= b.inner.Get(m.Lo) + dv + fv
 		}
+		coalesced = a.addPoint(b.key, m.Lo, delta)
 	}
-	if !merged {
-		a.boxes = append(a.boxes, deltaBox{lo: cloneInts(lo), hi: cloneInts(hi), delta: delta})
-	}
-	a.ops++
-	depth, boxes := a.depth(), len(a.boxes)
+	depth := a.depth()
 	b.dmu.Unlock()
-	b.afterWrite(depth, boxes, merged)
-	return nil
-}
-
-func slicesEqual(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if set {
+		b.applyMu.RUnlock()
 	}
-	return true
+	b.afterWrite(depth, boxes, coalesced)
+	return nil
 }
 
 // AddBatch implements BatchAdder: every delta is validated and buffered
@@ -599,13 +602,7 @@ func (b *Buffered) AddBatch(batch []PointDelta) error {
 	a := b.active
 	for i := 0; i < n; i++ {
 		b.key = packCoords(b.key[:0], batch[i].Point)
-		if j, ok := a.idx[string(b.key)]; ok {
-			a.slab[j].Delta += batch[i].Delta
-		} else {
-			a.idx[string(b.key)] = len(a.slab)
-			a.slab = append(a.slab, PointDelta{Point: cloneInts(batch[i].Point), Delta: batch[i].Delta})
-		}
-		a.ops++
+		a.addPoint(b.key, batch[i].Point, batch[i].Delta)
 	}
 	depth := a.depth()
 	b.dmu.Unlock()
@@ -702,92 +699,78 @@ func (b *Buffered) RangeSum(lo, hi []int) (int64, error) {
 	return v, nil
 }
 
-// RangeSumBatch implements Cube: the inner cube's batched engine
-// (corner dedup, prefix cache, parallel descents) answers the tree
-// part, then each query's delta contribution is composed in.
+// RangeSumBatch implements Cube through the batch engine; see
+// RangeSumBatchTrace.
 func (b *Buffered) RangeSumBatch(queries []RangeQuery) ([]int64, error) {
-	b.applyMu.RLock()
-	vals, err := b.inner.RangeSumBatch(queries)
-	if err != nil {
-		b.applyMu.RUnlock()
-		return nil, err
-	}
-	terms := b.composeBatchLocked(queries, vals)
-	b.applyMu.RUnlock()
-	composeDone(terms)
-	return vals, err
-}
-
-// composeBatchLocked adds each query's delta contribution into vals.
-// Callers hold applyMu (shared); it takes dmu itself.
-func (b *Buffered) composeBatchLocked(queries []RangeQuery, vals []int64) int {
-	terms := 0
-	b.dmu.RLock()
-	for i := range queries {
-		dv, n := deltaRange(b.active, queries[i].Lo, queries[i].Hi)
-		vals[i] += dv
-		terms += n
-		dv, n = deltaRange(b.frozen, queries[i].Lo, queries[i].Hi)
-		vals[i] += dv
-		terms += n
-	}
-	b.dmu.RUnlock()
-	return terms
+	sums, _, err := plannedBatch(b, queries)
+	return sums, err
 }
 
 // RangeSumBatchStats is RangeSumBatch surfacing the inner batch
-// engine's planner statistics (available when the inner cube is a
-// DynamicCube; zero-valued stats otherwise).
+// engine's planner statistics (available when the inner cube plans
+// batches; only Queries is set otherwise).
 func (b *Buffered) RangeSumBatchStats(queries []RangeQuery) ([]int64, BatchStats, error) {
-	b.applyMu.RLock()
-	var (
-		vals []int64
-		st   BatchStats
-		err  error
-	)
-	if b.dyn != nil {
-		vals, st, err = b.dyn.RangeSumBatchStats(queries)
-	} else {
-		vals, err = b.inner.RangeSumBatch(queries)
-		st.Queries = len(queries)
-	}
-	if err != nil {
-		b.applyMu.RUnlock()
-		return nil, st, err
-	}
-	terms := b.composeBatchLocked(queries, vals)
-	b.applyMu.RUnlock()
-	composeDone(terms)
-	return vals, st, nil
+	return plannedBatch(b, queries)
 }
 
-// RangeSumBatchTrace is the span-traced batch engine with delta
-// composition: the inner DynamicCube records its stage spans and
-// per-level visit profile as usual, then each answer is completed with
-// the query's delta contribution before returning.
+// RangeSumBatchTrace is the front's one batch engine: the inner cube's
+// batched engine (corner dedup, prefix cache, parallel descents)
+// answers the tree part, recording its stage spans and per-level visit
+// profile into a live sc as usual, then each answer is completed with
+// the query's delta contribution. An inner cube without a planner
+// answers through its RangeSumBatch (a wrapper's lock around a planner,
+// or a baseline's RangeSum loop); when no planner sits underneath, the
+// front admits the untraced call's flat trace itself.
 func (b *Buffered) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
-	b.applyMu.RLock()
-	if b.dyn == nil {
-		vals, err := b.inner.RangeSumBatch(queries)
-		if err != nil {
-			b.applyMu.RUnlock()
-			return BatchStats{}, nil, err
-		}
-		copy(out, vals)
-		terms := b.composeBatchLocked(queries, out)
-		b.applyMu.RUnlock()
-		composeDone(terms)
-		return BatchStats{Queries: len(queries)}, nil, nil
+	if len(out) != len(queries) {
+		return BatchStats{}, nil, fmt.Errorf("ddc: batch out has %d slots for %d queries", len(out), len(queries))
 	}
-	st, levels, err := b.dyn.RangeSumBatchTrace(queries, out, sc, parent)
+	b.applyMu.RLock()
+	st, levels, err := b.innerBatch(queries, out, sc, parent)
 	if err != nil {
 		b.applyMu.RUnlock()
-		return st, levels, err
+		return BatchStats{}, nil, err
 	}
-	terms := b.composeBatchLocked(queries, out)
+	terms := 0
+	b.dmu.RLock()
+	for i, q := range queries {
+		dv, n := deltaRange(b.active, q.Lo, q.Hi)
+		fv, m := deltaRange(b.frozen, q.Lo, q.Hi)
+		out[i] += dv + fv
+		terms += n + m
+	}
+	b.dmu.RUnlock()
 	b.applyMu.RUnlock()
 	composeDone(terms)
 	return st, levels, nil
+}
+
+// innerBatch answers the tree part of a batch into out; the caller
+// holds applyMu shared.
+func (b *Buffered) innerBatch(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
+	if p, ok := b.inner.(batchPlanner); ok {
+		return p.RangeSumBatchTrace(queries, out, sc, parent)
+	}
+	tel := globalTelemetry
+	var start time.Time
+	if sc == nil && !b.planned && tel.on() {
+		start = time.Now()
+	}
+	vals, err := b.inner.RangeSumBatch(queries)
+	if err != nil {
+		return BatchStats{}, nil, err
+	}
+	copy(out, vals)
+	if !start.IsZero() {
+		d := time.Since(start)
+		if sampled, slow := tel.shouldTrace(d); sampled || slow {
+			tel.trace(QueryTrace{
+				Op: "rangesum_batch", Start: start, DurationNs: d.Nanoseconds(),
+				Batch: len(queries), Slow: slow,
+			})
+		}
+	}
+	return BatchStats{Queries: len(queries)}, nil, nil
 }
 
 // Total implements Cube.
@@ -965,7 +948,7 @@ func (b *Buffered) drainLocked() error {
 
 	start := time.Now()
 	b.applyMu.Lock()
-	err := b.apply(frozen)
+	err := b.drainInto(frozen)
 	b.dmu.Lock()
 	b.frozen = nil
 	b.dmu.Unlock()
@@ -983,11 +966,11 @@ func (b *Buffered) drainLocked() error {
 	return err
 }
 
-// apply pushes one frozen generation into the inner cube; the caller
+// drainInto pushes one frozen generation into the inner cube; the caller
 // holds applyMu exclusively. Entries were validated at buffer time, so
 // a failure here is a defect — it poisons the buffer (the tree may hold
 // a partial batch) rather than limping on with divergent answers.
-func (b *Buffered) apply(f *deltaBuf) error {
+func (b *Buffered) drainInto(f *deltaBuf) error {
 	if len(f.slab) > 0 {
 		if ba, ok := b.inner.(BatchAdder); ok {
 			if err := ba.AddBatch(f.slab); err != nil {

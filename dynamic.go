@@ -157,15 +157,11 @@ func (c *DynamicCube) ConcurrentReads() bool { return true }
 // transactional store).
 func (c *DynamicCube) AddBatch(batch []PointDelta) error {
 	tel := globalTelemetry
-	if !tel.on() {
-		for i, pd := range batch {
-			if err := c.t.Add(grid.Point(pd.Point), pd.Delta); err != nil {
-				return fmt.Errorf("batch[%d]: %w", i, err)
-			}
-		}
-		return nil
+	on := tel.on()
+	var start time.Time
+	if on {
+		start = time.Now()
 	}
-	start := time.Now()
 	var merged cube.OpCounter
 	var batchErr error
 	for i, pd := range batch {
@@ -175,11 +171,13 @@ func (c *DynamicCube) AddBatch(batch []PointDelta) error {
 			batchErr = fmt.Errorf("batch[%d]: %w", i, err)
 			break
 		}
-		if !c.noProfile {
+		if on && !c.noProfile {
 			tel.workloadWrite(c, logrec.Mutation{Kind: logrec.Add, Lo: pd.Point, Delta: pd.Delta})
 		}
 	}
-	tel.recordUpdate(uOpBatch, c.be, time.Since(start), merged)
+	if on {
+		tel.recordUpdate(uOpBatch, c.be, time.Since(start), merged)
+	}
 	return batchErr
 }
 
@@ -202,32 +200,12 @@ func (c *DynamicCube) Get(p []int) int64 { return c.t.Get(grid.Point(p)) }
 // operation counts are recorded; disabled, one atomic flag load is the
 // only overhead.
 func (c *DynamicCube) Set(p []int, v int64) error {
-	tel := globalTelemetry
-	if !tel.on() {
-		return c.t.Set(grid.Point(p), v)
-	}
-	start := time.Now()
-	ops, err := c.t.SetOps(grid.Point(p), v)
-	tel.recordUpdate(uOpSet, c.be, time.Since(start), ops)
-	if err == nil && !c.noProfile {
-		tel.workloadWrite(c, logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: v})
-	}
-	return err
+	return c.apply(logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: v})
 }
 
 // Add implements Cube; see Set for the telemetry contract.
 func (c *DynamicCube) Add(p []int, d int64) error {
-	tel := globalTelemetry
-	if !tel.on() {
-		return c.t.Add(grid.Point(p), d)
-	}
-	start := time.Now()
-	ops, err := c.t.AddOps(grid.Point(p), d)
-	tel.recordUpdate(uOpAdd, c.be, time.Since(start), ops)
-	if err == nil && !c.noProfile {
-		tel.workloadWrite(c, logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: d})
-	}
-	return err
+	return c.apply(logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: d})
 }
 
 // RangeAdd implements Cube: the box delta is recorded as a pending
@@ -238,15 +216,39 @@ func (c *DynamicCube) Add(p []int, d int64) error {
 // Materialize/Compact at quiet moments. See Set for the telemetry
 // contract.
 func (c *DynamicCube) RangeAdd(lo, hi []int, d int64) error {
+	return c.apply(logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: d})
+}
+
+// kindOp maps a mutation kind to its telemetry update op.
+var kindOp = [...]int{logrec.Add: uOpAdd, logrec.Set: uOpSet, logrec.RangeAdd: uOpRangeAdd}
+
+// apply is the one mutator behind Set, Add and RangeAdd: it applies m
+// to the tree and, with telemetry enabled, records the update's
+// latency and operation counts and profiles it.
+func (c *DynamicCube) apply(m logrec.Mutation) error {
 	tel := globalTelemetry
-	if !tel.on() {
-		return c.t.RangeAdd(grid.Point(lo), grid.Point(hi), d)
+	on := tel.on()
+	var start time.Time
+	if on {
+		start = time.Now()
 	}
-	start := time.Now()
-	ops, err := c.t.RangeAddOps(grid.Point(lo), grid.Point(hi), d)
-	tel.recordUpdate(uOpRangeAdd, c.be, time.Since(start), ops)
-	if err == nil && !c.noProfile {
-		tel.workloadWrite(c, logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: d})
+	var ops cube.OpCounter
+	var err error
+	switch m.Kind {
+	case logrec.Add:
+		ops, err = c.t.AddOps(grid.Point(m.Lo), m.Delta)
+	case logrec.Set:
+		ops, err = c.t.SetOps(grid.Point(m.Lo), m.Delta)
+	case logrec.RangeAdd:
+		ops, err = c.t.RangeAddOps(grid.Point(m.Lo), grid.Point(m.Hi), m.Delta)
+	default:
+		return fmt.Errorf("ddc: unknown mutation kind %d", m.Kind)
+	}
+	if on {
+		tel.recordUpdate(kindOp[m.Kind], c.be, time.Since(start), ops)
+		if err == nil && !c.noProfile {
+			tel.workloadWrite(c, m)
+		}
 	}
 	return err
 }

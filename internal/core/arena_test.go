@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ddc/internal/grid"
+	"ddc/internal/obs"
 	"ddc/internal/workload"
 )
 
@@ -150,7 +151,7 @@ func TestConcurrentArenaReaders(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				out := make([]int64, len(boxes))
-				if err := tr.RangeSumBatchInto(boxes, out); err != nil {
+				if _, _, _, err := tr.RangeSumBatchTraceOps(boxes, out, nil, obs.NoSpan); err != nil {
 					errs <- err.Error()
 					return
 				}

@@ -178,7 +178,7 @@ type signedTerm struct {
 
 // batchScratch holds a batch execution's planning state, pooled so a
 // steady stream of batches plans allocation-free. With a caller-
-// provided result slice (RangeSumBatchInto) an entire untraced batch
+// provided result slice (RangeSumBatchTraceOps) an entire untraced batch
 // below the fan-out crossover runs with zero allocations, whether its
 // corners hit the prefix cache or descend.
 type batchScratch struct {
@@ -229,66 +229,38 @@ func (s *batchScratch) addDistinct(p grid.Point, h uint64) int32 {
 	return int32(ci)
 }
 
-// RangeSumBatch answers len(queries) range sums in one planned
-// execution; see the package comment above for the pipeline. It returns
-// one value per query, in order. Like RangeSum it is safe for any
-// number of concurrent callers (no mutation may run at the same time).
-func (t *Tree) RangeSumBatch(queries []Box) ([]int64, error) {
-	v, _, _, err := t.RangeSumBatchOps(queries)
-	return v, err
-}
-
-// RangeSumBatchOps is RangeSumBatch returning, in addition, the
-// operation counts of the deduplicated work this batch actually
-// performed (merged into the shared counter exactly once) and the
-// sharing statistics.
+// RangeSumBatchOps answers len(queries) range sums in one planned
+// execution (see the package comment above for the pipeline), returning
+// one value per query in order, the operation counts of the
+// deduplicated work this batch actually performed (merged into the
+// shared counter exactly once) and the sharing statistics. Like
+// RangeSum it is safe for any number of concurrent callers (no
+// mutation may run at the same time).
 func (t *Tree) RangeSumBatchOps(queries []Box) ([]int64, cube.OpCounter, BatchStats, error) {
 	if len(queries) == 0 {
 		return nil, cube.OpCounter{}, BatchStats{}, nil
 	}
 	out := make([]int64, len(queries))
-	ops, stats, err := t.RangeSumBatchIntoOps(queries, out)
+	ops, stats, _, err := t.RangeSumBatchTraceOps(queries, out, nil, obs.NoSpan)
 	if err != nil {
 		return nil, ops, stats, err
 	}
 	return out, ops, stats, nil
 }
 
-// RangeSumBatchInto is RangeSumBatch writing the results into out
-// (len(out) must equal len(queries)). Below the fan-out crossover the
-// call is allocation-free in steady state, with a warm or a cold prefix
-// cache: planning and query scratch are pooled, the cache reuses its
-// storage, and no result slice is allocated — the batch path the
-// allocation-regression tests pin.
-func (t *Tree) RangeSumBatchInto(queries []Box, out []int64) error {
-	_, _, err := t.RangeSumBatchIntoOps(queries, out)
-	return err
-}
-
-// RangeSumBatchIntoOps is RangeSumBatchInto returning the deduplicated
-// operation counts and sharing statistics; see RangeSumBatchOps.
-func (t *Tree) RangeSumBatchIntoOps(queries []Box, out []int64) (cube.OpCounter, BatchStats, error) {
-	ops, stats, _, err := t.rangeSumBatchInto(queries, out, nil, obs.NoSpan)
-	return ops, stats, err
-}
-
-// RangeSumBatchTraceOps is RangeSumBatchIntoOps recording span-level
-// observability into sc: one span per pipeline stage (plan, dedup,
-// execute, gather — disjoint intervals under parent) annotated with the
-// corner, dedup and cache statistics, plus the per-level outer-tree
-// node-visit profile of the descents this batch actually paid for
-// (cache hits descend nothing). The profile slice is indexed by tree
-// level, 0 = root; compare against Levels() × descents for the
-// Theorem 1 budget. The traced path allocates; telemetry-off callers
-// never reach it.
+// RangeSumBatchTraceOps is the batched-execution engine, writing the
+// results into out (len(out) must equal len(queries)). A nil sc is the
+// untraced hot path: below the fan-out crossover it is allocation-free
+// in steady state, with a warm or a cold prefix cache — planning and
+// query scratch are pooled, the cache reuses its storage and the caller
+// owns the results. A live sc records one span per pipeline stage
+// (plan, dedup, execute, gather — disjoint intervals under parent)
+// annotated with the corner, dedup and cache statistics, and the call
+// returns the per-level outer-tree node-visit profile of the descents
+// this batch actually paid for (cache hits descend nothing), indexed by
+// tree level, 0 = root; compare it against Levels() × descents for the
+// Theorem 1 budget. The traced path allocates.
 func (t *Tree) RangeSumBatchTraceOps(queries []Box, out []int64, sc *obs.SpanContext, parent obs.SpanID) (cube.OpCounter, BatchStats, []uint64, error) {
-	return t.rangeSumBatchInto(queries, out, sc, parent)
-}
-
-// rangeSumBatchInto is the shared batched-execution engine; sc == nil
-// is the untraced hot path (no spans, no level profile, allocation-free
-// in steady state).
-func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext, parent obs.SpanID) (cube.OpCounter, BatchStats, []uint64, error) {
 	stats := BatchStats{Queries: len(queries)}
 	if len(out) != len(queries) {
 		return cube.OpCounter{}, stats, nil, fmt.Errorf("core: batch out has %d slots for %d queries", len(out), len(queries))
@@ -304,10 +276,7 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 
 	// Plan: expand and deduplicate. The planning state comes
 	// from a pool so steady batch streams plan allocation-free.
-	planSpan := obs.NoSpan
-	if sc != nil {
-		planSpan = sc.Start("batch.plan", parent)
-	}
+	planSpan := sc.Start("batch.plan", parent)
 	d := t.d
 	masks := 1 << uint(d)
 	scr := batchScratchPool.Get().(*batchScratch)
@@ -358,24 +327,19 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 	scr.qoff = append(scr.qoff, int32(len(scr.terms)))
 	distinct := scr.distinct
 	stats.DistinctCorners = len(distinct)
-	if sc != nil {
-		sc.SetAttr(planSpan, "queries", int64(len(queries)))
-		sc.SetAttr(planSpan, "corner_terms", int64(stats.CornerTerms))
-		sc.SetAttr(planSpan, "skipped_corners", int64(stats.SkippedCorners))
-		sc.SetAttr(planSpan, "distinct_corners", int64(stats.DistinctCorners))
-		sc.SetAttr(planSpan, "dedup_saved", int64(stats.CornerTerms-stats.DistinctCorners))
-		sc.End(planSpan)
-	}
+	sc.SetAttr(planSpan, "queries", int64(len(queries)))
+	sc.SetAttr(planSpan, "corner_terms", int64(stats.CornerTerms))
+	sc.SetAttr(planSpan, "skipped_corners", int64(stats.SkippedCorners))
+	sc.SetAttr(planSpan, "distinct_corners", int64(stats.DistinctCorners))
+	sc.SetAttr(planSpan, "dedup_saved", int64(stats.CornerTerms-stats.DistinctCorners))
+	sc.End(planSpan)
 
 	// Serve what the versioned cache already knows; a cache still on an
 	// older epoch (or empty) would miss every corner, so the lookups are
 	// skipped. The epoch is stable for the whole batch: mutations
 	// require exclusive access, so none can run between this load and
 	// the stores below.
-	dedupSpan := obs.NoSpan
-	if sc != nil {
-		dedupSpan = sc.Start("batch.dedup", parent)
-	}
+	dedupSpan := sc.Start("batch.dedup", parent)
 	epoch := t.epoch.Load()
 	if cap(scr.values) < len(distinct) {
 		scr.values = make([]int64, len(distinct))
@@ -400,20 +364,15 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 	}
 	pc.mu.Unlock()
 	stats.CacheMisses = len(work)
-	if sc != nil {
-		sc.SetAttr(dedupSpan, "cache_hits", int64(stats.CacheHits))
-		sc.SetAttr(dedupSpan, "cache_misses", int64(stats.CacheMisses))
-		sc.End(dedupSpan)
-	}
+	sc.SetAttr(dedupSpan, "cache_hits", int64(stats.CacheHits))
+	sc.SetAttr(dedupSpan, "cache_misses", int64(stats.CacheMisses))
+	sc.End(dedupSpan)
 
 	// Execute the distinct, uncached prefixes over the lock-free read
 	// path. The traced path additionally collects the per-level
 	// outer-tree visit profile (descents only — cache hits visit
 	// nothing).
-	execSpan := obs.NoSpan
-	if sc != nil {
-		execSpan = sc.Start("batch.execute", parent)
-	}
+	execSpan := sc.Start("batch.execute", parent)
 	var levels []uint64
 	if sc != nil {
 		levels = make([]uint64, t.Levels())
@@ -428,17 +387,12 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 		}
 		pc.mu.Unlock()
 	}
-	if sc != nil {
-		sc.SetAttr(execSpan, "descents", int64(len(work)))
-		sc.SetAttr(execSpan, "node_visits", int64(ops.NodeVisits))
-		sc.End(execSpan)
-	}
+	sc.SetAttr(execSpan, "descents", int64(len(work)))
+	sc.SetAttr(execSpan, "node_visits", int64(ops.NodeVisits))
+	sc.End(execSpan)
 
 	// Gather the signed terms back into per-query results.
-	gatherSpan := obs.NoSpan
-	if sc != nil {
-		gatherSpan = sc.Start("batch.gather", parent)
-	}
+	gatherSpan := sc.Start("batch.gather", parent)
 	for qi := range out {
 		var sum int64
 		for _, tm := range scr.terms[scr.qoff[qi]:scr.qoff[qi+1]] {
@@ -450,10 +404,8 @@ func (t *Tree) rangeSumBatchInto(queries []Box, out []int64, sc *obs.SpanContext
 		}
 		out[qi] = sum
 	}
-	if sc != nil {
-		sc.SetAttr(gatherSpan, "results", int64(len(out)))
-		sc.End(gatherSpan)
-	}
+	sc.SetAttr(gatherSpan, "results", int64(len(out)))
+	sc.End(gatherSpan)
 
 	scr.work = work
 	batchScratchPool.Put(scr)

@@ -7,6 +7,7 @@ import (
 
 	"ddc/internal/cube"
 	"ddc/internal/grid"
+	"ddc/internal/obs"
 )
 
 // batchTree builds a tree over random data and brings it into state:
@@ -111,7 +112,7 @@ func distinctCorners(tr *Tree, boxes []Box) []grid.Point {
 func checkBatch(t *testing.T, name string, tr *Tree, boxes []Box, wantMiss []grid.Point, wantHits int) BatchStats {
 	t.Helper()
 	out := make([]int64, len(boxes))
-	gotOps, st, err := tr.RangeSumBatchIntoOps(boxes, out)
+	gotOps, st, _, err := tr.RangeSumBatchTraceOps(boxes, out, nil, obs.NoSpan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestBatchHighEdgeBoxes(t *testing.T) {
 				}
 			}
 			tr.InvalidatePrefixCache()
-			out, err := tr.RangeSumBatch(boxes)
+			out, _, _, err := tr.RangeSumBatchOps(boxes)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -106,7 +106,7 @@ func opCountStream(t *testing.T, dims []int, backend string) string {
 			for i := range qs {
 				qs[i].Lo, qs[i].Hi = randBox()
 			}
-			vs, err := tr.RangeSumBatch(qs)
+			vs, _, _, err := tr.RangeSumBatchOps(qs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 
 	"ddc/internal/cube"
@@ -399,8 +400,12 @@ corners:
 	return total, ops, nil
 }
 
-// checkRange validates an inclusive logical query box.
+// checkRange validates an inclusive logical query box: dimensionality,
+// the bounds of lo, the bounds of hi, then emptiness.
 func (t *Tree) checkRange(lo, hi grid.Point) error {
+	if len(lo) != t.d || len(hi) != t.d {
+		return fmt.Errorf("%w: box has %d/%d dims, cube has %d", grid.ErrDims, len(lo), len(hi), t.d)
+	}
 	if err := t.checkPoint(lo); err != nil {
 		return err
 	}

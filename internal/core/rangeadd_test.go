@@ -129,7 +129,7 @@ func TestRangeAddBatchCacheInvalidation(t *testing.T) {
 		{Lo: grid.Point{2, 2}, Hi: grid.Point{7, 7}},
 		{Lo: grid.Point{0, 0}, Hi: grid.Point{15, 15}},
 	}
-	got, err := tr.RangeSumBatch(queries)
+	got, _, _, err := tr.RangeSumBatchOps(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRangeAddBatchCacheInvalidation(t *testing.T) {
 	if err := tr.RangeAdd(grid.Point{0, 0}, grid.Point{3, 3}, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, err = tr.RangeSumBatch(queries)
+	got, _, _, err = tr.RangeSumBatchOps(queries)
 	if err != nil {
 		t.Fatal(err)
 	}

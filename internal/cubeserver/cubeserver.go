@@ -77,6 +77,17 @@ type spanTracer interface {
 	TraceSpans(sc *obs.SpanContext, parent obs.SpanID)
 }
 
+// reader is the server's one read surface, fixed at construction: the
+// buffered front when one is attached (reads compose tree + delta, so
+// they see every acknowledged write), the cube otherwise.
+type reader interface {
+	Get(p []int) int64
+	RangeSum(lo, hi []int) (int64, error)
+	Total() int64
+	ExplainPrefix(p []int) (int64, []ddc.Contribution)
+	RangeSumBatchTrace(queries []ddc.RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (ddc.BatchStats, []uint64, error)
+}
+
 // ErrCheckpointUnsupported is returned by Persistence implementations
 // that cannot checkpoint (a bare WAL has nowhere to put a snapshot);
 // the server maps it to 501 Not Implemented.
@@ -96,7 +107,8 @@ func (p walPersistence) Healthy() error  { return p.Err() }
 type Server struct {
 	mu      sync.RWMutex
 	c       *ddc.DynamicCube
-	buf     *ddc.Buffered // optional delta front; reads compose through it
+	buf     *ddc.Buffered // optional delta front; drained before tree walks
+	read    reader        // where reads go: buf, else the cube
 	persist Persistence   // optional; when set, mutations go through it
 	target  logrec.Target // where mutations apply: persist, else the cube
 	mux     *http.ServeMux
@@ -185,9 +197,12 @@ func NewWithPersistence(c *ddc.DynamicCube, p Persistence, opts Options) *Server
 	if logger == nil {
 		logger = slog.Default()
 	}
-	s := &Server{c: c, buf: opts.Buffered, persist: p, target: c, mux: http.NewServeMux(), log: logger}
+	s := &Server{c: c, buf: opts.Buffered, read: c, persist: p, target: c, mux: http.NewServeMux(), log: logger}
 	if p != nil {
 		s.target = p
+	}
+	if opts.Buffered != nil {
+		s.read = opts.Buffered
 	}
 	s.mux.HandleFunc("/v1/add", s.handleAdd)
 	s.mux.HandleFunc("/v1/add/range", s.handleRangeAdd)
@@ -333,10 +348,8 @@ func (s *Server) mutate(ctx context.Context, fn func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok := s.persist.(spanTracer); ok {
-		if sc, span := obs.SpanFromContext(ctx); sc != nil {
-			st.TraceSpans(sc, span)
-			defer st.TraceSpans(nil, obs.NoSpan)
-		}
+		st.TraceSpans(obs.SpanFromContext(ctx))
+		defer st.TraceSpans(nil, obs.NoSpan)
 	}
 	// Invalidate unconditionally: a failing batch may still have applied
 	// a prefix of its operations.
@@ -368,11 +381,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// lock drops — the attachment is guarded by s.mu.
 	st, traced := s.persist.(spanTracer)
 	if traced {
-		if sc, span := obs.SpanFromContext(r.Context()); sc != nil {
-			st.TraceSpans(sc, span)
-		} else {
-			traced = false
-		}
+		st.TraceSpans(obs.SpanFromContext(r.Context()))
 	}
 	err := s.persist.Checkpoint()
 	if traced {
@@ -404,7 +413,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	v := s.readGet(m.Point)
+	v := s.read.Get(m.Point)
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]int64{"value": v})
 }
@@ -443,7 +452,7 @@ func (s *Server) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	sum, serr := s.readRangeSum(m.Lo, m.Hi)
+	sum, serr := s.read.RangeSum(m.Lo, m.Hi)
 	s.mu.RUnlock()
 	if serr != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", serr)
@@ -530,7 +539,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	v := s.readGet(p)
+	v := s.read.Get(p)
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]int64{"value": v})
 }
@@ -542,7 +551,7 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	sum, err := s.readRangeSum(lo, hi)
+	sum, err := s.read.RangeSum(lo, hi)
 	s.mu.RUnlock()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -582,24 +591,13 @@ func (s *Server) handleSumBatch(w http.ResponseWriter, r *http.Request) {
 	for i, q := range req.Queries {
 		queries[i] = ddc.RangeQuery{Lo: q.Lo, Hi: q.Hi}
 	}
-	var sums []int64
-	var stats ddc.BatchStats
-	var err error
+	// A traced request's planner records its stage spans (plan, dedup,
+	// execute, gather) into the request's trace; an untraced one has a
+	// nil span context, the engine's plain path.
+	sc, span := obs.SpanFromContext(r.Context())
+	sums := make([]int64, len(queries))
 	s.mu.RLock()
-	if sc, span := obs.SpanFromContext(r.Context()); sc != nil {
-		// Traced request: the planner records its stage spans (plan,
-		// dedup, execute, gather) into the request's trace.
-		sums = make([]int64, len(queries))
-		if s.buf != nil {
-			stats, _, err = s.buf.RangeSumBatchTrace(queries, sums, sc, span)
-		} else {
-			stats, _, err = s.c.RangeSumBatchTrace(queries, sums, sc, span)
-		}
-	} else if s.buf != nil {
-		sums, stats, err = s.buf.RangeSumBatchStats(queries)
-	} else {
-		sums, stats, err = s.c.RangeSumBatchStats(queries)
-	}
+	stats, _, err := s.read.RangeSumBatchTrace(queries, sums, sc, span)
 	s.mu.RUnlock()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -670,40 +668,18 @@ func (s *Server) derivedStats() (total int64, nonzero, storage int) {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	if !s.stats.valid || s.stats.version != v {
-		total := s.c.Total()
-		if s.buf != nil {
-			// The composed total counts undrained deltas; NonZeroCells and
-			// StorageCells stay tree-side metrics (they measure the index,
-			// not the front).
-			total = s.buf.Total()
-		}
+		// The composed total counts undrained deltas; NonZeroCells and
+		// StorageCells stay tree-side metrics (they measure the index,
+		// not the front).
 		s.stats = cachedStats{
 			version: v,
 			valid:   true,
-			total:   total,
+			total:   s.read.Total(),
 			nonzero: s.c.NonZeroCells(),
 			storage: s.c.StorageCells(),
 		}
 	}
 	return s.stats.total, s.stats.nonzero, s.stats.storage
-}
-
-// readGet answers a point read, composing the delta front when one is
-// attached. Callers hold the shared lock.
-func (s *Server) readGet(p []int) int64 {
-	if s.buf != nil {
-		return s.buf.Get(p)
-	}
-	return s.c.Get(p)
-}
-
-// readRangeSum answers a range sum, composing the delta front when one
-// is attached. Callers hold the shared lock.
-func (s *Server) readRangeSum(lo, hi []int) (int64, error) {
-	if s.buf != nil {
-		return s.buf.RangeSum(lo, hi)
-	}
-	return s.c.RangeSum(lo, hi)
 }
 
 // drainFront empties the delta front so tree-walk endpoints (/v1/scan,
@@ -811,13 +787,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	var sum int64
-	var parts []ddc.Contribution
-	if s.buf != nil {
-		sum, parts = s.buf.ExplainPrefix(p)
-	} else {
-		sum, parts = s.c.ExplainPrefix(p)
-	}
+	sum, parts := s.read.ExplainPrefix(p)
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"prefix":        sum,
@@ -861,14 +831,7 @@ func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 	root := sc.Start("explain", parent)
 	sums := make([]int64, len(queries))
 	s.mu.RLock()
-	var stats ddc.BatchStats
-	var levels []uint64
-	var err error
-	if s.buf != nil {
-		stats, levels, err = s.buf.RangeSumBatchTrace(queries, sums, sc, root)
-	} else {
-		stats, levels, err = s.c.RangeSumBatchTrace(queries, sums, sc, root)
-	}
+	stats, levels, err := s.read.RangeSumBatchTrace(queries, sums, sc, root)
 	treeLevels := s.c.TreeLevels()
 	s.mu.RUnlock()
 	sc.End(root)

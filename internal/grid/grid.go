@@ -174,8 +174,12 @@ func (e *Extent) Check(p Point) error {
 	return nil
 }
 
-// CheckRange validates an inclusive query box [lo, hi].
+// CheckRange validates an inclusive query box [lo, hi]:
+// dimensionality, the bounds of lo, the bounds of hi, then emptiness.
 func (e *Extent) CheckRange(lo, hi Point) error {
+	if len(lo) != len(e.dims) || len(hi) != len(e.dims) {
+		return fmt.Errorf("%w: box has %d/%d dims, extent has %d", ErrDims, len(lo), len(hi), len(e.dims))
+	}
 	if err := e.Check(lo); err != nil {
 		return err
 	}

@@ -20,9 +20,10 @@ import (
 //
 // SpanContexts are pooled (GetSpanContext / PutSpanContext): the
 // steady-state traced request allocates nothing beyond what it records
-// lazily (the hex trace ID, snapshots). Untraced requests never touch
-// this file — the caller's tracing gate (one atomic load, or a nil
-// *SpanContext check) is the entire disabled path.
+// lazily (the hex trace ID, snapshots). A nil *SpanContext is the
+// untraced request: Start, End and SetAttr on it return at once,
+// without reading the clock, so one code path serves traced and
+// untraced callers alike.
 
 // SpanID indexes a span inside its SpanContext. The root's parent is
 // NoSpan; spans dropped because the trace slab was full get DroppedSpan
@@ -139,8 +140,16 @@ func (sc *SpanContext) TraceID() string {
 // Start records a new span under parent (NoSpan for a root) and returns
 // its ID. Wait-free: one atomic increment claims a slab slot. When the
 // slab is full the span is counted as dropped and DroppedSpan is
-// returned; End/SetAttr on it do nothing.
+// returned; End/SetAttr on it do nothing. On a nil sc it records
+// nothing and returns NoSpan.
 func (sc *SpanContext) Start(name string, parent SpanID) SpanID {
+	if sc == nil {
+		return NoSpan
+	}
+	return sc.record(name, parent)
+}
+
+func (sc *SpanContext) record(name string, parent SpanID) SpanID {
 	i := sc.n.Add(1) - 1
 	if int(i) >= len(sc.spans) {
 		sc.n.Add(-1)
@@ -158,9 +167,9 @@ func (sc *SpanContext) Start(name string, parent SpanID) SpanID {
 }
 
 // End stamps the span's duration. Call once, from the goroutine that
-// started the span.
+// started the span. A no-op on a nil sc.
 func (sc *SpanContext) End(id SpanID) {
-	if id < 0 || int(id) >= int(sc.n.Load()) {
+	if sc == nil || id < 0 || int(id) >= int(sc.n.Load()) {
 		return
 	}
 	s := &sc.spans[id]
@@ -169,9 +178,9 @@ func (sc *SpanContext) End(id SpanID) {
 }
 
 // SetAttr attaches an integer attribute to the span. Attributes past
-// the fixed per-span cap are silently dropped.
+// the fixed per-span cap are silently dropped. A no-op on a nil sc.
 func (sc *SpanContext) SetAttr(id SpanID, key string, val int64) {
-	if id < 0 || int(id) >= int(sc.n.Load()) {
+	if sc == nil || id < 0 || int(id) >= int(sc.n.Load()) {
 		return
 	}
 	s := &sc.spans[id]

@@ -195,3 +195,21 @@ func TestSpanPoolReuse(t *testing.T) {
 		t.Fatal("reused context kept its previous trace ID")
 	}
 }
+
+// TestNilSpanContextNoOp pins the untraced path: Start, End and SetAttr
+// on a nil trace record nothing and do not panic, so callers need no
+// nil guard.
+func TestNilSpanContextNoOp(t *testing.T) {
+	var sc *SpanContext
+	id := sc.Start("stage", NoSpan)
+	if id != NoSpan {
+		t.Fatalf("nil Start = %d, want NoSpan", id)
+	}
+	sc.SetAttr(id, "k", 1)
+	sc.End(id)
+	if a := testing.AllocsPerRun(100, func() {
+		sc.End(sc.Start("stage", NoSpan))
+	}); a != 0 {
+		t.Fatalf("nil span context allocates %.1f/op", a)
+	}
+}

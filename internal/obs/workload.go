@@ -84,9 +84,13 @@ type heatLayout struct {
 	lo, hi  []int // inclusive domain bounds, copied
 	grid    int   // cells per dimension
 	strides []int // strides[0] is the largest (dim-0-major)
-	read    []atomic.Uint64
-	write   []atomic.Uint64
-	extents []LogHist // per-dimension query box extents
+	// spans[i] is dimension i's extent (at least 1) and recips[i] is
+	// floor((2^64-1) / spans[i]), so cell scaling multiplies instead of
+	// dividing (see cell).
+	spans, recips []uint64
+	read          []atomic.Uint64
+	write         []atomic.Uint64
+	extents       []LogHist // per-dimension query box extents
 }
 
 func newHeatLayout(lo, hi []int) *heatLayout {
@@ -102,11 +106,19 @@ func newHeatLayout(lo, hi []int) *heatLayout {
 		strides[i] = s
 		s *= g
 	}
+	spans := make([]uint64, d)
+	recips := make([]uint64, d)
+	for i := range spans {
+		spans[i] = uint64(max(hi[i]-lo[i]+1, 1))
+		recips[i] = math.MaxUint64 / spans[i]
+	}
 	return &heatLayout{
 		lo:      append([]int(nil), lo...),
 		hi:      append([]int(nil), hi...),
 		grid:    g,
 		strides: strides,
+		spans:   spans,
+		recips:  recips,
 		read:    make([]atomic.Uint64, cells),
 		write:   make([]atomic.Uint64, cells),
 		extents: make([]LogHist, d),
@@ -120,25 +132,46 @@ func newHeatLayout(lo, hi []int) *heatLayout {
 // histogram but have no cell on this map.
 func (l *heatLayout) matches(d int) bool { return d == len(l.lo) }
 
+// cell maps coordinate v of dimension i to its grid cell,
+// floor((v-lo) * grid / span), clamping coordinates outside the domain
+// to the edge cells. The quotient comes from the precomputed
+// reciprocal: the high word of n * recip is the exact quotient or one
+// less (n < 2^63 holds for spans below 2^51, and the core caps a side
+// at 2^40), and one multiply-compare corrects it — no 64-bit division
+// on the recording path.
+func (l *heatLayout) cell(i, v int) int {
+	x := v - l.lo[i]
+	if x <= 0 {
+		return 0
+	}
+	span := l.spans[i]
+	if uint64(x) >= span {
+		return l.grid - 1
+	}
+	n := uint64(x) * uint64(l.grid)
+	q, _ := bits.Mul64(n, l.recips[i])
+	if (q+1)*span <= n {
+		q++
+	}
+	return int(q)
+}
+
 // cellIndex maps a point to its flat cell index, clamping coordinates
 // outside the configured domain to the edge cells.
 func (l *heatLayout) cellIndex(p []int) int {
 	idx := 0
 	for i, v := range p {
-		span := l.hi[i] - l.lo[i] + 1
-		if span < 1 {
-			span = 1
-		}
-		c := int(int64(v-l.lo[i]) * int64(l.grid) / int64(span))
-		if c < 0 {
-			c = 0
-		}
-		if c >= l.grid {
-			c = l.grid - 1
-		}
-		idx += c * l.strides[i]
+		idx += l.cell(i, v) * l.strides[i]
 	}
 	return idx
+}
+
+// satMul is vol * ext, saturating at math.MaxUint64.
+func satMul(vol, ext uint64) uint64 {
+	if hi, lo := bits.Mul64(vol, ext); hi == 0 {
+		return lo
+	}
+	return math.MaxUint64
 }
 
 // recordRead heats the cell holding the box center and observes the
@@ -153,24 +186,8 @@ func (l *heatLayout) recordRead(lo, hi []int) uint64 {
 			ext = uint64(hi[i] - lo[i] + 1)
 		}
 		l.extents[i].Observe(ext)
-		if vol > math.MaxUint64/ext {
-			vol = math.MaxUint64
-		} else {
-			vol *= ext
-		}
-		span := l.hi[i] - l.lo[i] + 1
-		if span < 1 {
-			span = 1
-		}
-		center := lo[i] + (hi[i]-lo[i])/2
-		c := int(int64(center-l.lo[i]) * int64(l.grid) / int64(span))
-		if c < 0 {
-			c = 0
-		}
-		if c >= l.grid {
-			c = l.grid - 1
-		}
-		idx += c * l.strides[i]
+		vol = satMul(vol, ext)
+		idx += l.cell(i, lo[i]+(hi[i]-lo[i])/2) * l.strides[i]
 	}
 	l.read[idx].Add(1)
 	return vol
@@ -371,10 +388,7 @@ func boxVolume(lo, hi []int) uint64 {
 		if hi[i] >= lo[i] {
 			ext = uint64(hi[i] - lo[i] + 1)
 		}
-		if vol > math.MaxUint64/ext {
-			return math.MaxUint64
-		}
-		vol *= ext
+		vol = satMul(vol, ext)
 	}
 	return vol
 }

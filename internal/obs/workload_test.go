@@ -288,3 +288,123 @@ func TestWorkloadDimensionMismatch(t *testing.T) {
 		}
 	}
 }
+
+// divCell is the division formula cell scaling replaces: floor((v-lo)
+// * grid / span), clamped to the grid.
+func divCell(v, lo, hi, grid int) int {
+	span := max(hi-lo+1, 1)
+	c := int(int64(v-lo) * int64(grid) / int64(span))
+	return min(max(c, 0), grid-1)
+}
+
+// divVolume is the division formula satMul replaces: the saturating
+// product of the box extents.
+func divVolume(exts []uint64) uint64 {
+	vol := uint64(1)
+	for _, ext := range exts {
+		if vol > math.MaxUint64/ext {
+			return math.MaxUint64
+		}
+		vol *= ext
+	}
+	return vol
+}
+
+func TestHeatCellMatchesDivision(t *testing.T) {
+	// Odd and prime spans, spans below and above the grid side, large
+	// spans up to the core's side cap, and negative low corners.
+	spans := []int{1, 2, 3, 5, 7, 15, 17, 63, 65, 97, 1000, 4095, 4097, 65537, 999983, 1<<40 - 3, 1 << 40}
+	for _, d := range []int{1, 2, 3, 5} {
+		g := heatGridSide(d)
+		for _, span := range spans {
+			for _, lo := range []int{0, -7, 1 << 20} {
+				hi := lo + span - 1
+				los, his := make([]int, d), make([]int, d)
+				for i := range los {
+					los[i], his[i] = lo, hi
+				}
+				l := newHeatLayout(los, his)
+				// Every cell boundary, one step either side, both domain
+				// edges and points outside the domain.
+				check := func(v int) {
+					if got, want := l.cell(d-1, v), divCell(v, lo, hi, g); got != want {
+						t.Fatalf("d=%d span=%d lo=%d v=%d: cell %d, division %d", d, span, lo, v, got, want)
+					}
+				}
+				for _, v := range []int{lo - 1 - span, lo - 1, lo, hi, hi + 1, hi + span} {
+					check(v)
+				}
+				for c := 1; c < g; c++ {
+					b := lo + int((int64(c)*int64(span)+int64(g)-1)/int64(g))
+					for _, v := range []int{b - 1, b, b + 1} {
+						check(v)
+					}
+				}
+				if span <= 1<<13 {
+					for v := lo; v <= hi; v++ {
+						check(v)
+					}
+				}
+				// The flat index and a read box's center cell and volume.
+				p := make([]int, d)
+				for i := range p {
+					p[i] = lo + (i+1)*span/(d+1)
+				}
+				want := 0
+				for i, v := range p {
+					want += divCell(v, lo, hi, g) * l.strides[i]
+				}
+				if got := l.cellIndex(p); got != want {
+					t.Fatalf("d=%d span=%d lo=%d: cellIndex(%v) %d, division %d", d, span, lo, p, got, want)
+				}
+				exts := make([]uint64, d)
+				for i := range exts {
+					exts[i] = uint64(hi - lo + 1)
+				}
+				if got, want := l.recordRead(los, his), divVolume(exts); got != want {
+					t.Fatalf("d=%d span=%d: recordRead volume %d, division %d", d, span, got, want)
+				}
+				center := make([]int, d)
+				for i := range center {
+					center[i] = lo + (hi-lo)/2
+				}
+				if l.read[l.cellIndex(center)].Load() != 1 {
+					t.Fatalf("d=%d span=%d: recordRead did not heat the center cell", d, span)
+				}
+			}
+		}
+	}
+}
+
+func TestSatMulMatchesDivision(t *testing.T) {
+	edge := uint64(1) << 32
+	cases := [][]uint64{
+		{1}, {3, 5, 7}, {edge, edge - 1}, {edge, edge}, {edge, edge, 1},
+		{math.MaxUint64}, {math.MaxUint64, 1}, {math.MaxUint64, 2},
+		{math.MaxUint64 / 3, 3}, {math.MaxUint64/3 + 1, 3},
+		{math.MaxUint64 / 7, 7, 1}, {1 << 63, 2}, {1 << 62, 2, 2}, {99991, 99989, 99971, 99961},
+	}
+	for _, exts := range cases {
+		vol := uint64(1)
+		for _, ext := range exts {
+			vol = satMul(vol, ext)
+		}
+		if want := divVolume(exts); vol != want {
+			t.Errorf("%v: satMul volume %d, division %d", exts, vol, want)
+		}
+		lo, hi := make([]int, len(exts)), make([]int, len(exts))
+		fits := true
+		for i, ext := range exts {
+			if ext > math.MaxInt64 {
+				fits = false
+				break
+			}
+			hi[i] = int(ext) - 1
+		}
+		if fits {
+			if got, want := boxVolume(lo, hi), divVolume(exts); got != want {
+				t.Errorf("%v: boxVolume %d, division %d", exts, got, want)
+			}
+		}
+	}
+}

@@ -424,10 +424,7 @@ func (s *Store) checkpointBuffered() error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if s.tsc != nil {
-		span := s.tsc.Start("store.checkpoint", s.tparent)
-		defer s.tsc.End(span)
-	}
+	defer s.tsc.End(s.tsc.Start("store.checkpoint", s.tparent))
 	if err := s.buf.Drain(); err != nil {
 		s.mu.Unlock()
 		return err
@@ -496,10 +493,7 @@ func (s *Store) Close() error {
 // snapshots and covered segments. Callers hold s.mu.
 func (s *Store) checkpointLocked() error {
 	start := time.Now()
-	if s.tsc != nil {
-		span := s.tsc.Start("store.checkpoint", s.tparent)
-		defer s.tsc.End(span)
-	}
+	defer s.tsc.End(s.tsc.Start("store.checkpoint", s.tparent))
 	if s.buf != nil {
 		// Synchronous path (Open's initial checkpoint): the delta must
 		// be in the tree before the snapshot streams.

@@ -13,6 +13,11 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# Built binaries and reports go to one private directory, so concurrent
+# runs never clobber each other; it is removed however the script exits.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 fmt_diff=$(gofmt -l .)
 if [ -n "$fmt_diff" ]; then
     echo "gofmt needed on:" >&2
@@ -45,8 +50,11 @@ go test -run - -bench '(RangeQuery|RangeSumBatch)$/(dense|grown|dashboard|random
 # Batch-equivalence property tier: a planned RangeSumBatch must answer
 # exactly what a sequential RangeSum loop answers, on every Cube
 # implementation, grown domains and sharded cubes included (DESIGN.md
-# §10), plus the endpoint's contract.
-go test -run 'RangeSumBatch|BatchTelemetry|SumBatch' -count=1 . ./internal/cubeserver
+# §10); every batch entry point derived from a planner's one engine must
+# agree with it (sums, stats, op counts, one ring trace per untraced
+# call); every implementation must reject malformed points and boxes
+# with the same sentinel; plus the endpoint's contract.
+go test -run 'RangeSumBatch|BatchTelemetry|SumBatch|BatchEntryPoints|ValidationAgreement' -count=1 . ./internal/cubeserver
 # Backend property tier (DESIGN.md §11): every prefix-sum backend must
 # agree exactly with the classic reference — cube-level op sequences,
 # snapshot round-trips across backends, the psum fuzz seed corpus, the
@@ -73,8 +81,8 @@ go test -run - -bench ProfilerGuard -benchtime 1x .
 # path at 0 allocs/op.
 go test -race -run 'Span|Traceparent' -count=1 . ./internal/obs ./internal/cubeserver
 go test -run 'TracingDisabledAllocs|ExplainBatchSchema|Readyz|HealthAndReadiness|TraceRingStats|BuildInfo' -count=1 . ./internal/cubeserver
-go build -o /tmp/ddcserver_smoke ./cmd/ddcserver
-go run ./scripts/obssmoke -server /tmp/ddcserver_smoke
+go build -o "$tmp/ddcserver" ./cmd/ddcserver
+go run ./scripts/obssmoke -server "$tmp/ddcserver"
 # Workload-intelligence tier (DESIGN.md §13): the query-shape profiler,
 # capture codec (FuzzReadCapture's seed corpus included) and top-K
 # sketch contracts; -version on both binaries; then the capture→replay
@@ -83,10 +91,10 @@ go run ./scripts/obssmoke -server /tmp/ddcserver_smoke
 # the live answers bit-exactly under every prefix-sum backend. The
 # profiler-overhead guard is BenchmarkProfilerGuard above.
 go test -run 'Workload|Capture|TopK|LogHist' -count=1 . ./internal/obs ./internal/workload ./internal/cubeserver
-/tmp/ddcserver_smoke -version
-go build -o /tmp/ddcbench_smoke ./cmd/ddcbench
-/tmp/ddcbench_smoke -version
-go run ./scripts/wkldsmoke -server /tmp/ddcserver_smoke -bench /tmp/ddcbench_smoke
+"$tmp/ddcserver" -version
+go build -o "$tmp/ddcbench" ./cmd/ddcbench
+"$tmp/ddcbench" -version
+go run ./scripts/wkldsmoke -server "$tmp/ddcserver" -bench "$tmp/ddcbench"
 # Range-update tier (DESIGN.md §14): cross-implementation equivalence of
 # box updates against the naive ground truth, the lazy pending-box
 # semantics (flush points, merged iteration, explain contributions), the
@@ -100,7 +108,7 @@ go test -run FuzzRangeAdd -count=1 .
 # 2x) across box volumes spanning three orders of magnitude, while the
 # per-cell loop scales linearly — the volume-independence contract of
 # the O(d) RangeAdd.
-/tmp/ddcbench_smoke rangeaddcost
+"$tmp/ddcbench" rangeaddcost
 # Mixed-workload tier (DESIGN.md §15): the buffered write front's
 # read-your-writes equivalence, drain/freeze interleavings and the
 # store crash matrix under the race detector. The mixed bench smoke
@@ -119,4 +127,4 @@ python3 perfbench/run.py --workload olap-read --seed 1 --seconds 1 --trace 0
 # path's updates/sec at no worse than 1.25x query p99, with a
 # concurrent checkpoint inflating write p99 by at most 1.5x (full suite
 # writes BENCH_pr10.json).
-/tmp/ddcbench_smoke -mixed /tmp/ddc_mixed_smoke.json -smoke
+"$tmp/ddcbench" -mixed "$tmp/mixed.json" -smoke

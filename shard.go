@@ -128,7 +128,7 @@ func BuildSharded(dims []int, values []int64, shards int, opt Options) (*Sharded
 	if len(values) != dims[0]*stride {
 		return nil, fmt.Errorf("%w: %d values for domain of %d cells", ErrDims, len(values), dims[0]*stride)
 	}
-	var firstErr atomic.Value
+	var firstErr firstError
 	parallelDo(len(s.shards), func(si int) {
 		sh := &s.shards[si]
 		lo := si * s.span
@@ -137,13 +137,13 @@ func BuildSharded(dims []int, values []int64, shards int, opt Options) (*Sharded
 		sdims[0] = n0
 		c, err := BuildDynamicParallel(sdims, values[lo*stride:(lo+n0)*stride], opt)
 		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
+			firstErr.set(err)
 			return
 		}
 		c.noProfile = true
 		sh.c = c
 	})
-	if err, ok := firstErr.Load().(error); ok {
+	if err := firstErr.get(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -160,19 +160,98 @@ func (s *ShardedCube) Dims() []int { return append([]int(nil), s.dims...) }
 // writers, thanks to the per-shard RWMutexes).
 func (s *ShardedCube) ConcurrentReads() bool { return true }
 
+// checkPoint validates p against the global domain, with the core
+// tree's error taxonomy and wording.
+func (s *ShardedCube) checkPoint(p []int) error {
+	if len(p) != len(s.dims) {
+		return fmt.Errorf("%w: point has %d dims, cube has %d", ErrDims, len(p), len(s.dims))
+	}
+	for i, v := range p {
+		if v < 0 || v >= s.dims[i] {
+			return fmt.Errorf("%w: coordinate %d = %d not in [0, %d)", ErrRange, i, v, s.dims[i])
+		}
+	}
+	return nil
+}
+
+// checkBox validates the inclusive box [lo, hi] in the core tree's
+// order: dimensionality, the bounds of lo, the bounds of hi, then
+// emptiness.
+func (s *ShardedCube) checkBox(lo, hi []int) error {
+	if len(lo) != len(s.dims) || len(hi) != len(s.dims) {
+		return fmt.Errorf("%w: box has %d/%d dims, cube has %d", ErrDims, len(lo), len(hi), len(s.dims))
+	}
+	if err := s.checkPoint(lo); err != nil {
+		return err
+	}
+	if err := s.checkPoint(hi); err != nil {
+		return err
+	}
+	for i := range lo {
+		if lo[i] > hi[i] {
+			return fmt.Errorf("%w: dimension %d", ErrEmptyRange, i)
+		}
+	}
+	return nil
+}
+
 // locate maps a global point to its shard, writing the shard-local
 // coordinates into local (len(s.dims), typically pooled).
 func (s *ShardedCube) locate(p, local []int) (*shard, error) {
-	if len(p) != len(s.dims) {
-		return nil, fmt.Errorf("%w: point has %d dims, cube has %d", ErrDims, len(p), len(s.dims))
-	}
-	if p[0] < 0 || p[0] >= s.dims[0] {
-		return nil, fmt.Errorf("%w: coordinate 0 = %d not in [0, %d)", ErrRange, p[0], s.dims[0])
+	if err := s.checkPoint(p); err != nil {
+		return nil, err
 	}
 	si := p[0] / s.span
 	copy(local, p)
 	local[0] = p[0] - si*s.span
 	return &s.shards[si], nil
+}
+
+// clip writes the part of the validated box [lo, hi] inside slab si
+// into llo and lhi, in the shard's local coordinates.
+func (s *ShardedCube) clip(si int, lo, hi, llo, lhi []int) {
+	copy(llo, lo)
+	copy(lhi, hi)
+	base := si * s.span
+	llo[0] = max(lo[0]-base, 0)
+	lhi[0] = min(hi[0]-base, s.span-1)
+}
+
+// eachSlab runs fn once per shard the validated box [lo, hi] overlaps,
+// concurrently, with the box clipped to that shard's slab (pooled
+// coordinates, valid during fn only). A non-zero start records each
+// task's queue wait since start. It returns the fan-out width and the
+// first error fn reported.
+func (s *ShardedCube) eachSlab(lo, hi []int, start time.Time, fn func(sh *shard, llo, lhi []int) error) (int, error) {
+	first, last := lo[0]/s.span, hi[0]/s.span
+	var firstErr firstError
+	parallelDo(last-first+1, func(i int) {
+		if !start.IsZero() {
+			globalTelemetry.recordQueueWait(time.Since(start))
+		}
+		lop, hip := getCoord(len(s.dims)), getCoord(len(s.dims))
+		defer coordPool.Put(lop)
+		defer coordPool.Put(hip)
+		s.clip(first+i, lo, hi, *lop, *hip)
+		firstErr.set(fn(&s.shards[first+i], *lop, *hip))
+	})
+	return last - first + 1, firstErr.get()
+}
+
+// firstError keeps the first error concurrent tasks report.
+type firstError struct{ p atomic.Pointer[error] }
+
+func (f *firstError) set(err error) {
+	if err != nil {
+		f.p.CompareAndSwap(nil, &err)
+	}
+}
+
+func (f *firstError) get() error {
+	if p := f.p.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Get implements Cube.
@@ -190,40 +269,75 @@ func (s *ShardedCube) Get(p []int) int64 {
 
 // Set implements Cube.
 func (s *ShardedCube) Set(p []int, v int64) error {
-	bp := getCoord(len(s.dims))
-	defer coordPool.Put(bp)
-	sh, err := s.locate(p, *bp)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	err = sh.c.Set(*bp, v)
-	sh.mu.Unlock()
-	if err == nil {
-		if tel := globalTelemetry; tel.on() {
-			tel.workloadWrite(s, logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: v})
-		}
-	}
-	return err
+	return s.apply(logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: v})
 }
 
 // Add implements Cube.
 func (s *ShardedCube) Add(p []int, d int64) error {
-	bp := getCoord(len(s.dims))
-	defer coordPool.Put(bp)
-	sh, err := s.locate(p, *bp)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	err = sh.c.Add(*bp, d)
-	sh.mu.Unlock()
-	if err == nil {
-		if tel := globalTelemetry; tel.on() {
-			tel.workloadWrite(s, logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: d})
+	return s.apply(logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: d})
+}
+
+// RangeAdd implements Cube: the box is validated up front (a bad box
+// rejects the whole update before any shard mutates), split at slab
+// boundaries, and each overlapping shard records its sub-box lazily
+// under its own write lock, with the per-shard updates running
+// concurrently. Cost is O(d) per overlapping shard — independent of
+// the box volume — like the single-cube lazy path underneath.
+func (s *ShardedCube) RangeAdd(lo, hi []int, d int64) error {
+	return s.apply(logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: d})
+}
+
+// apply is the one mutator behind Set, Add and RangeAdd. A point lands
+// on its shard's cube under the shard's write lock; a box fans out to
+// the shards it overlaps and counts as one logical update. The
+// workload profile records the global coordinates (the shard cubes are
+// noProfile).
+func (s *ShardedCube) apply(m logrec.Mutation) error {
+	tel := globalTelemetry
+	on := tel.on()
+	if m.Kind.Box() {
+		if err := s.checkBox(m.Lo, m.Hi); err != nil || m.Delta == 0 {
+			return err
+		}
+		var start time.Time
+		if on {
+			start = time.Now()
+		}
+		var merged cube.OpCounter
+		width, err := s.eachSlab(m.Lo, m.Hi, start, func(sh *shard, llo, lhi []int) error {
+			sh.mu.Lock()
+			ops, err := sh.c.t.RangeAddOps(grid.Point(llo), grid.Point(lhi), m.Delta)
+			sh.mu.Unlock()
+			merged.AtomicAdd(ops)
+			return err
+		})
+		if on {
+			tel.recordFanout(width)
+			tel.recordUpdate(uOpRangeAdd, s.be(), time.Since(start), merged.AtomicSnapshot())
+		}
+		if err != nil {
+			return err
+		}
+	} else {
+		bp := getCoord(len(s.dims))
+		defer coordPool.Put(bp)
+		sh, err := s.locate(m.Lo, *bp)
+		if err != nil {
+			return err
+		}
+		local := m
+		local.Lo = *bp
+		sh.mu.Lock()
+		err = sh.c.apply(local)
+		sh.mu.Unlock()
+		if err != nil {
+			return err
 		}
 	}
-	return err
+	if on {
+		tel.workloadWrite(s, m)
+	}
+	return nil
 }
 
 // AddBatch applies a batch of point deltas, implementing BatchAdder.
@@ -238,13 +352,8 @@ func (s *ShardedCube) AddBatch(batch []PointDelta) error {
 	}
 	groups := make([][]PointDelta, len(s.shards))
 	for bi, pd := range batch {
-		if len(pd.Point) != len(s.dims) {
-			return fmt.Errorf("%w: batch[%d] has %d dims, cube has %d", ErrDims, bi, len(pd.Point), len(s.dims))
-		}
-		for i, v := range pd.Point {
-			if v < 0 || v >= s.dims[i] {
-				return fmt.Errorf("%w: batch[%d] coordinate %d = %d not in [0, %d)", ErrRange, bi, i, v, s.dims[i])
-			}
+		if err := s.checkPoint(pd.Point); err != nil {
+			return fmt.Errorf("batch[%d]: %w", bi, err)
 		}
 		si := pd.Point[0] / s.span
 		groups[si] = append(groups[si], pd)
@@ -262,7 +371,7 @@ func (s *ShardedCube) AddBatch(batch []PointDelta) error {
 	if on {
 		start = time.Now()
 	}
-	var firstErr atomic.Value
+	var firstErr firstError
 	parallelDo(len(work), func(wi int) {
 		if on {
 			tel.recordQueueWait(time.Since(start))
@@ -277,19 +386,12 @@ func (s *ShardedCube) AddBatch(batch []PointDelta) error {
 		for _, pd := range groups[si] {
 			copy(local, pd.Point)
 			local[0] = pd.Point[0] - si*s.span
-			if on {
-				// Count through the core so the whole batch lands as one
-				// logical update, not one "add" per delta.
-				ops, err := sh.c.t.AddOps(grid.Point(local), pd.Delta)
-				merged.AtomicAdd(ops)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				continue
-			}
-			if err := sh.c.Add(local, pd.Delta); err != nil {
-				firstErr.CompareAndSwap(nil, err)
+			// Count through the core so the whole batch lands as one
+			// logical update, not one "add" per delta.
+			ops, err := sh.c.t.AddOps(grid.Point(local), pd.Delta)
+			merged.AtomicAdd(ops)
+			if err != nil {
+				firstErr.set(err)
 				return
 			}
 		}
@@ -298,7 +400,7 @@ func (s *ShardedCube) AddBatch(batch []PointDelta) error {
 		tel.recordFanout(len(work))
 		tel.recordUpdate(uOpBatch, s.be(), time.Since(start), merged)
 	}
-	if err, ok := firstErr.Load().(error); ok {
+	if err := firstErr.get(); err != nil {
 		return err
 	}
 	if on {
@@ -307,86 +409,6 @@ func (s *ShardedCube) AddBatch(batch []PointDelta) error {
 		for _, pd := range batch {
 			tel.workloadWrite(s, logrec.Mutation{Kind: logrec.Add, Lo: pd.Point, Delta: pd.Delta})
 		}
-	}
-	return nil
-}
-
-// RangeAdd implements Cube: the box is validated up front (a bad box
-// rejects the whole update before any shard mutates), split at slab
-// boundaries, and each overlapping shard records its sub-box lazily
-// under its own write lock, with the per-shard updates running
-// concurrently. Cost is O(d) per overlapping shard — independent of
-// the box volume — like the single-cube lazy path underneath.
-func (s *ShardedCube) RangeAdd(lo, hi []int, d int64) error {
-	if len(lo) != len(s.dims) || len(hi) != len(s.dims) {
-		return fmt.Errorf("%w: box dims", ErrDims)
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			return fmt.Errorf("%w: dimension %d", ErrEmptyRange, i)
-		}
-		if lo[i] < 0 || hi[i] >= s.dims[i] {
-			return fmt.Errorf("%w: dimension %d", ErrRange, i)
-		}
-	}
-	if d == 0 {
-		return nil
-	}
-	first, last := lo[0]/s.span, hi[0]/s.span
-	tel := globalTelemetry
-	on := tel.on()
-	var start time.Time
-	var merged cube.OpCounter
-	if on {
-		start = time.Now()
-	}
-	var firstErr atomic.Value
-	parallelDo(last-first+1, func(i int) {
-		if on {
-			tel.recordQueueWait(time.Since(start))
-		}
-		si := first + i
-		sh := &s.shards[si]
-		lop := getCoord(len(s.dims))
-		hip := getCoord(len(s.dims))
-		defer coordPool.Put(lop)
-		defer coordPool.Put(hip)
-		llo, lhi := *lop, *hip
-		copy(llo, lo)
-		copy(lhi, hi)
-		slabLo, slabHi := si*s.span, si*s.span+sh.c.Dims()[0]-1
-		if llo[0] < slabLo {
-			llo[0] = slabLo
-		}
-		if lhi[0] > slabHi {
-			lhi[0] = slabHi
-		}
-		llo[0] -= slabLo
-		lhi[0] -= slabLo
-		sh.mu.Lock()
-		var err error
-		if on {
-			// One logical update: merge per-shard counts, count once.
-			var ops cube.OpCounter
-			ops, err = sh.c.t.RangeAddOps(grid.Point(llo), grid.Point(lhi), d)
-			merged.AtomicAdd(ops)
-		} else {
-			err = sh.c.RangeAdd(llo, lhi, d)
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	})
-	if on {
-		tel.recordFanout(last - first + 1)
-		tel.recordUpdate(uOpRangeAdd, s.be(), time.Since(start), merged.AtomicSnapshot())
-	}
-	if err, ok := firstErr.Load().(error); ok {
-		return err
-	}
-	if on {
-		tel.workloadWrite(s, logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: d})
 	}
 	return nil
 }
@@ -466,24 +488,16 @@ func (s *ShardedCube) Prefix(p []int) int64 {
 		defer coordPool.Put(bp)
 		local := *bp
 		copy(local, p)
+		local[0] = min(x-si*s.span, s.span-1)
 		sh := &s.shards[si]
-		if si < last {
-			local[0] = sh.c.Dims()[0] - 1
-		} else {
-			local[0] = x - si*s.span
-		}
 		sh.mu.RLock()
-		var v int64
-		if on {
-			// Query through the core so the fan-out lands as one logical
-			// query with merged counts, not one query per shard.
-			var ops cube.OpCounter
-			v, ops = sh.c.t.PrefixOps(grid.Point(local))
-			merged.AtomicAdd(ops)
-		} else {
-			v = sh.c.Prefix(local)
-		}
+		// Query through the core so the fan-out lands as one logical
+		// query with merged counts, not one query per shard.
+		v, ops := sh.c.t.PrefixOps(grid.Point(local))
 		sh.mu.RUnlock()
+		if on {
+			merged.AtomicAdd(ops)
+		}
 		atomic.AddInt64(&total, v)
 	})
 	if on {
@@ -506,18 +520,9 @@ func (s *ShardedCube) Prefix(p []int) int64 {
 // RangeSum implements Cube: the box is split at slab boundaries and the
 // per-shard partial sums — computed in parallel — are added.
 func (s *ShardedCube) RangeSum(lo, hi []int) (int64, error) {
-	if len(lo) != len(s.dims) || len(hi) != len(s.dims) {
-		return 0, fmt.Errorf("%w: box dims", ErrDims)
+	if err := s.checkBox(lo, hi); err != nil {
+		return 0, err
 	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			return 0, fmt.Errorf("%w: dimension %d", ErrEmptyRange, i)
-		}
-		if lo[i] < 0 || hi[i] >= s.dims[i] {
-			return 0, fmt.Errorf("%w: dimension %d", ErrRange, i)
-		}
-	}
-	first, last := lo[0]/s.span, hi[0]/s.span
 	tel := globalTelemetry
 	on := tel.on()
 	var start time.Time
@@ -526,84 +531,48 @@ func (s *ShardedCube) RangeSum(lo, hi []int) (int64, error) {
 		start = time.Now()
 	}
 	var total int64
-	var firstErr atomic.Value
-	parallelDo(last-first+1, func(i int) {
-		if on {
-			tel.recordQueueWait(time.Since(start))
-		}
-		si := first + i
-		sh := &s.shards[si]
-		lop := getCoord(len(s.dims))
-		hip := getCoord(len(s.dims))
-		defer coordPool.Put(lop)
-		defer coordPool.Put(hip)
-		llo, lhi := *lop, *hip
-		copy(llo, lo)
-		copy(lhi, hi)
-		slabLo, slabHi := si*s.span, si*s.span+sh.c.Dims()[0]-1
-		if llo[0] < slabLo {
-			llo[0] = slabLo
-		}
-		if lhi[0] > slabHi {
-			lhi[0] = slabHi
-		}
-		llo[0] -= slabLo
-		lhi[0] -= slabLo
+	width, err := s.eachSlab(lo, hi, start, func(sh *shard, llo, lhi []int) error {
 		sh.mu.RLock()
-		var v int64
-		var err error
-		if on {
-			// One logical query: merge per-shard counts, count once.
-			var ops cube.OpCounter
-			v, ops, err = sh.c.t.RangeSumOps(grid.Point(llo), grid.Point(lhi))
-			merged.AtomicAdd(ops)
-		} else {
-			v, err = sh.c.RangeSum(llo, lhi)
-		}
+		// One logical query: merge per-shard counts, count once.
+		v, ops, err := sh.c.t.RangeSumOps(grid.Point(llo), grid.Point(lhi))
 		sh.mu.RUnlock()
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-			return
+		if on {
+			merged.AtomicAdd(ops)
 		}
 		atomic.AddInt64(&total, v)
+		return err
 	})
 	if on {
 		d := time.Since(start)
-		tel.recordFanout(last - first + 1)
+		tel.recordFanout(width)
 		tel.recordQuery(qOpRange, s.be(), d, merged)
 		tel.workloadRange(s, lo, hi)
 		if sampled, slow := tel.shouldTrace(d); sampled || slow {
 			tel.trace(QueryTrace{
 				Op: "rangesum", Start: start, DurationNs: d.Nanoseconds(),
-				Lo: cloneInts(lo), Hi: cloneInts(hi), Shards: last - first + 1,
+				Lo: cloneInts(lo), Hi: cloneInts(hi), Shards: width,
 				NodeVisits: merged.NodeVisits, QueryCells: merged.QueryCells,
 				Contributions: contribMap(merged), Slow: slow,
 			})
 		}
 	}
-	if err, ok := firstErr.Load().(error); ok {
+	if err != nil {
 		return 0, err
 	}
 	return total, nil
 }
 
-// RangeSumBatch implements Cube: every query is split at slab
-// boundaries and each overlapping shard receives its share of the whole
-// batch as one sub-batch, so the batch fans out to the shards once (not
-// once per query) and each shard's engine deduplicates corners and
-// consults its versioned prefix cache across all the windows touching
-// its slab. Per-query results are gathered by adding the shards'
-// partial sums. A bad query rejects the whole batch before any shard
-// runs.
+// RangeSumBatch implements Cube through the batch engine; see
+// RangeSumBatchTrace.
 func (s *ShardedCube) RangeSumBatch(queries []RangeQuery) ([]int64, error) {
-	sums, _, err := s.rangeSumBatch(queries)
+	sums, _, err := plannedBatch(s, queries)
 	return sums, err
 }
 
 // RangeSumBatchStats is RangeSumBatch returning, in addition, the
 // batch's sharing statistics summed across the shards it fanned out to.
 func (s *ShardedCube) RangeSumBatchStats(queries []RangeQuery) ([]int64, BatchStats, error) {
-	return s.rangeSumBatch(queries)
+	return plannedBatch(s, queries)
 }
 
 // InvalidatePrefixCache drops every shard's cached corner prefixes; see
@@ -612,105 +581,6 @@ func (s *ShardedCube) InvalidatePrefixCache() {
 	for i := range s.shards {
 		s.shards[i].c.InvalidatePrefixCache()
 	}
-}
-
-func (s *ShardedCube) rangeSumBatch(queries []RangeQuery) ([]int64, BatchStats, error) {
-	if len(queries) == 0 {
-		return nil, BatchStats{}, nil
-	}
-	// Validate everything up front, then split each box at the slab
-	// boundaries into shard-local sub-boxes tagged with their owner.
-	subs := make([][]core.Box, len(s.shards)) // shard-local sub-batches
-	owners := make([][]int, len(s.shards))    // owning query per sub-box
-	for qi := range queries {
-		lo, hi := queries[qi].Lo, queries[qi].Hi
-		if len(lo) != len(s.dims) || len(hi) != len(s.dims) {
-			return nil, BatchStats{}, fmt.Errorf("query %d: %w: box dims", qi, ErrDims)
-		}
-		for i := range lo {
-			if lo[i] > hi[i] {
-				return nil, BatchStats{}, fmt.Errorf("query %d: %w: dimension %d", qi, ErrEmptyRange, i)
-			}
-			if lo[i] < 0 || hi[i] >= s.dims[i] {
-				return nil, BatchStats{}, fmt.Errorf("query %d: %w: dimension %d", qi, ErrRange, i)
-			}
-		}
-		first, last := lo[0]/s.span, hi[0]/s.span
-		for si := first; si <= last; si++ {
-			sh := &s.shards[si]
-			slabLo, slabHi := si*s.span, si*s.span+sh.c.Dims()[0]-1
-			llo := grid.Point(append([]int(nil), lo...))
-			lhi := grid.Point(append([]int(nil), hi...))
-			if llo[0] < slabLo {
-				llo[0] = slabLo
-			}
-			if lhi[0] > slabHi {
-				lhi[0] = slabHi
-			}
-			llo[0] -= slabLo
-			lhi[0] -= slabLo
-			subs[si] = append(subs[si], core.Box{Lo: llo, Hi: lhi})
-			owners[si] = append(owners[si], qi)
-		}
-	}
-	work := make([]int, 0, len(s.shards))
-	for si := range subs {
-		if len(subs[si]) > 0 {
-			work = append(work, si)
-		}
-	}
-	tel := globalTelemetry
-	on := tel.on()
-	var start time.Time
-	if on {
-		start = time.Now()
-	}
-	var merged cube.OpCounter
-	shStats := make([]core.BatchStats, len(s.shards)) // per-owner slots: race-free
-	out := make([]int64, len(queries))
-	var firstErr atomic.Value
-	parallelDo(len(work), func(wi int) {
-		if on {
-			tel.recordQueueWait(time.Since(start))
-		}
-		si := work[wi]
-		sh := &s.shards[si]
-		sh.mu.RLock()
-		sums, ops, st, err := sh.c.t.RangeSumBatchOps(subs[si])
-		sh.mu.RUnlock()
-		merged.AtomicAdd(ops)
-		shStats[si] = st
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-			return
-		}
-		for k, v := range sums {
-			atomic.AddInt64(&out[owners[si][k]], v)
-		}
-	})
-	if err, ok := firstErr.Load().(error); ok {
-		return nil, BatchStats{}, err
-	}
-	stats := BatchStats{Queries: len(queries)}
-	for si := range shStats {
-		stats.merge(shStats[si])
-	}
-	if on {
-		d := time.Since(start)
-		tel.recordFanout(len(work))
-		tel.recordBatch(len(queries), s.be(), d, merged.AtomicSnapshot(), stats)
-		tel.workloadBatch(s, queries)
-		if sampled, slow := tel.shouldTrace(d); sampled || slow {
-			snap := merged.AtomicSnapshot()
-			tel.trace(QueryTrace{
-				Op: "rangesum_batch", Start: start, DurationNs: d.Nanoseconds(),
-				Batch: len(queries), Shards: len(work),
-				NodeVisits: snap.NodeVisits, QueryCells: snap.QueryCells,
-				Contributions: contribMap(snap), Slow: slow,
-			})
-		}
-	}
-	return out, stats, nil
 }
 
 // TreeLevels returns the visit budget depth of one corner descent — the
@@ -725,14 +595,23 @@ func (s *ShardedCube) TreeLevels() int {
 	return max
 }
 
-// RangeSumBatchTrace answers the batch like RangeSumBatch while
-// recording span-level observability into sc under parent: one child
-// span per slab the batch fanned out to ("shard.batch", annotated with
-// the shard index, its share of the sub-queries and the queue wait
-// between fan-out start and the slab task starting), each parenting
-// that shard's planner stage spans. The per-shard level profiles are
-// merged after the join (levels[0] = each shard's root level). Results
-// are written into out (len(out) must equal len(queries)).
+// RangeSumBatchTrace is the sharded cube's one batch engine, writing
+// the results into out (len(out) must equal len(queries)). Every query
+// is split at slab boundaries and each overlapping shard receives its
+// share of the whole batch as one sub-batch, so the batch fans out to
+// the shards once (not once per query) and each shard's engine
+// deduplicates corners and consults its versioned prefix cache across
+// all the windows touching its slab. Per-query results are gathered by
+// adding the shards' partial sums. A bad query rejects the whole batch
+// before any shard runs.
+//
+// A nil sc is the untraced path, as for DynamicCube.RangeSumBatchTrace.
+// A live sc records one child span per slab the batch fanned out to
+// ("shard.batch", annotated with the shard index, its share of the
+// sub-queries and the queue wait between fan-out start and the slab
+// task starting), each parenting that shard's planner stage spans; the
+// per-shard level profiles are merged after the join (levels[0] = each
+// shard's root level).
 func (s *ShardedCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
 	if len(out) != len(queries) {
 		return BatchStats{}, nil, fmt.Errorf("ddc: batch out has %d slots for %d queries", len(out), len(queries))
@@ -740,36 +619,16 @@ func (s *ShardedCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 	if len(queries) == 0 {
 		return BatchStats{}, nil, nil
 	}
-	subs := make([][]core.Box, len(s.shards))
-	owners := make([][]int, len(s.shards))
-	for qi := range queries {
-		lo, hi := queries[qi].Lo, queries[qi].Hi
-		if len(lo) != len(s.dims) || len(hi) != len(s.dims) {
-			return BatchStats{}, nil, fmt.Errorf("query %d: %w: box dims", qi, ErrDims)
+	subs := make([][]core.Box, len(s.shards)) // shard-local sub-batches
+	owners := make([][]int, len(s.shards))    // owning query per sub-box
+	for qi, q := range queries {
+		if err := s.checkBox(q.Lo, q.Hi); err != nil {
+			return BatchStats{}, nil, fmt.Errorf("query %d: %w", qi, err)
 		}
-		for i := range lo {
-			if lo[i] > hi[i] {
-				return BatchStats{}, nil, fmt.Errorf("query %d: %w: dimension %d", qi, ErrEmptyRange, i)
-			}
-			if lo[i] < 0 || hi[i] >= s.dims[i] {
-				return BatchStats{}, nil, fmt.Errorf("query %d: %w: dimension %d", qi, ErrRange, i)
-			}
-		}
-		first, last := lo[0]/s.span, hi[0]/s.span
-		for si := first; si <= last; si++ {
-			sh := &s.shards[si]
-			slabLo, slabHi := si*s.span, si*s.span+sh.c.Dims()[0]-1
-			llo := grid.Point(append([]int(nil), lo...))
-			lhi := grid.Point(append([]int(nil), hi...))
-			if llo[0] < slabLo {
-				llo[0] = slabLo
-			}
-			if lhi[0] > slabHi {
-				lhi[0] = slabHi
-			}
-			llo[0] -= slabLo
-			lhi[0] -= slabLo
-			subs[si] = append(subs[si], core.Box{Lo: llo, Hi: lhi})
+		for si := q.Lo[0] / s.span; si <= q.Hi[0]/s.span; si++ {
+			b := core.Box{Lo: make(grid.Point, len(s.dims)), Hi: make(grid.Point, len(s.dims))}
+			s.clip(si, q.Lo, q.Hi, b.Lo, b.Hi)
+			subs[si] = append(subs[si], b)
 			owners[si] = append(owners[si], qi)
 		}
 	}
@@ -781,16 +640,20 @@ func (s *ShardedCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 	}
 	tel := globalTelemetry
 	on := tel.on()
-	start := time.Now()
-	var merged cube.OpCounter
-	shStats := make([]core.BatchStats, len(s.shards))
-	shLevels := make([][]uint64, len(s.shards)) // per-owner slots: race-free
-	for qi := range out {
-		out[qi] = 0
+	var start time.Time
+	if on || sc != nil {
+		start = time.Now()
 	}
-	var firstErr atomic.Value
+	clear(out)
+	var merged cube.OpCounter
+	shStats := make([]core.BatchStats, len(s.shards)) // per-owner slots: race-free
+	shLevels := make([][]uint64, len(s.shards))
+	var firstErr firstError
 	parallelDo(len(work), func(wi int) {
-		wait := time.Since(start)
+		var wait time.Duration
+		if !start.IsZero() {
+			wait = time.Since(start)
+		}
 		if on {
 			tel.recordQueueWait(wait)
 		}
@@ -806,17 +669,16 @@ func (s *ShardedCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 		sh.mu.RUnlock()
 		sc.End(slab)
 		merged.AtomicAdd(ops)
-		shStats[si] = st
-		shLevels[si] = lv
+		shStats[si], shLevels[si] = st, lv
 		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
+			firstErr.set(err)
 			return
 		}
 		for k, v := range sums {
 			atomic.AddInt64(&out[owners[si][k]], v)
 		}
 	})
-	if err, ok := firstErr.Load().(error); ok {
+	if err := firstErr.get(); err != nil {
 		return BatchStats{}, nil, err
 	}
 	stats := BatchStats{Queries: len(queries)}
@@ -832,8 +694,7 @@ func (s *ShardedCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 	}
 	if on {
 		tel.recordFanout(len(work))
-		tel.recordBatch(len(queries), s.be(), time.Since(start), merged.AtomicSnapshot(), stats)
-		tel.workloadBatch(s, queries)
+		tel.batchDone(s, queries, s.be(), len(work), start, merged.AtomicSnapshot(), stats, sc == nil)
 	}
 	return stats, levels, nil
 }

@@ -1,6 +1,10 @@
 package ddc
 
-import "sync"
+import (
+	"sync"
+
+	"ddc/internal/logrec"
+)
 
 // Synchronized wraps a Cube with a sync.RWMutex, making it safe for
 // concurrent use. Mutations always take the exclusive lock. Reads take
@@ -59,23 +63,25 @@ func (s *Synchronized) Get(p []int) int64 {
 
 // Set implements Cube.
 func (s *Synchronized) Set(p []int, v int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.Set(p, v)
+	return s.apply(logrec.Mutation{Kind: logrec.Set, Lo: p, Delta: v})
 }
 
 // Add implements Cube.
 func (s *Synchronized) Add(p []int, d int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.Add(p, d)
+	return s.apply(logrec.Mutation{Kind: logrec.Add, Lo: p, Delta: d})
 }
 
 // RangeAdd implements Cube.
 func (s *Synchronized) RangeAdd(lo, hi []int, d int64) error {
+	return s.apply(logrec.Mutation{Kind: logrec.RangeAdd, Lo: lo, Hi: hi, Delta: d})
+}
+
+// apply is the one mutator behind Set, Add and RangeAdd: m reaches the
+// wrapped cube under the exclusive lock.
+func (s *Synchronized) apply(m logrec.Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.RangeAdd(lo, hi, d)
+	return m.Apply(s.c)
 }
 
 // AddBatch applies a batch of deltas under one lock acquisition,

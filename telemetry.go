@@ -762,6 +762,31 @@ func (t *Telemetry) recordBatch(n, be int, d time.Duration, ops cube.OpCounter, 
 	}
 }
 
+// batchDone records one planner batch call that began at start: the
+// batch metrics, the workload profile on src (nil when the caller's
+// coordinates are not the profiled domain) and, for an untraced call,
+// the flat trace the sampler or the slow-query threshold admits. A
+// traced call's span tree is retained by its owner instead, so a batch
+// lands in the ring once.
+func (t *Telemetry) batchDone(src workloadDomain, queries []RangeQuery, be, shards int, start time.Time, ops cube.OpCounter, st BatchStats, untraced bool) {
+	d := time.Since(start)
+	t.recordBatch(len(queries), be, d, ops, st)
+	if src != nil {
+		t.workloadBatch(src, queries)
+	}
+	if !untraced {
+		return
+	}
+	if sampled, slow := t.shouldTrace(d); sampled || slow {
+		t.trace(QueryTrace{
+			Op: "rangesum_batch", Start: start, DurationNs: d.Nanoseconds(),
+			Batch: len(queries), Shards: shards, NodeVisits: ops.NodeVisits,
+			QueryCells: ops.QueryCells, Contributions: contribMap(ops),
+			Slow: slow,
+		})
+	}
+}
+
 func (t *Telemetry) recordUpdate(op, be int, d time.Duration, ops cube.OpCounter) {
 	t.updates[op][be].Inc()
 	t.updateLat.Observe(uint64(d.Nanoseconds()))

@@ -118,10 +118,7 @@ func (l *WAL) Flush() error {
 	if l.err != nil {
 		return l.err
 	}
-	if l.tsc != nil {
-		span := l.tsc.Start("wal.flush", l.tparent)
-		defer l.tsc.End(span)
-	}
+	defer l.tsc.End(l.tsc.Start("wal.flush", l.tparent))
 	tel := globalTelemetry
 	if !tel.on() {
 		return l.flush()
@@ -172,7 +169,8 @@ func (l *WAL) apply(m logrec.Mutation) error {
 		return l.err
 	}
 	if len(m.Lo) != l.d || (m.Kind.Box() && len(m.Hi) != l.d) {
-		return fmt.Errorf("%w: %v does not have the log's %d dims", ErrBadWAL, m, l.d)
+		// Unloggable, and a dimensionality error like every cube's.
+		return fmt.Errorf("%w: %w: %v does not have the log's %d dims", ErrBadWAL, ErrDims, m, l.d)
 	}
 	if err := m.Apply(l.c); err != nil {
 		return err
@@ -185,10 +183,7 @@ func (l *WAL) apply(m logrec.Mutation) error {
 // delta: 1+8d+8 or 1+16d+8 bytes, so replay can pair the opcode with the
 // frame length. A write failure poisons the log.
 func (l *WAL) append(m logrec.Mutation) error {
-	if l.tsc != nil {
-		span := l.tsc.Start("wal.append", l.tparent)
-		defer l.tsc.End(span)
-	}
+	defer l.tsc.End(l.tsc.Start("wal.append", l.tparent))
 	tel := globalTelemetry
 	if tel.on() {
 		start := time.Now()
