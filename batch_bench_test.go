@@ -148,3 +148,34 @@ func BenchmarkRangeSumBatch(b *testing.B) {
 	b.Run("dashboard1024", func(b *testing.B) { run(b, dashboards) })
 	b.Run("random1024", func(b *testing.B) { run(b, [][]RangeQuery{random}) })
 }
+
+// BenchmarkRangeSumBatchPending prices one dashboard batch (16 windows
+// of width 32 at stride 16, perfbench's shape on a 256-wide domain) on
+// the pending-read fixture of BenchmarkRangeQuery/pending64: cold
+// invalidates the prefix cache before every call, warm serves every
+// corner from it, so warm is the pending pass plus the gather alone.
+func BenchmarkRangeSumBatchPending(b *testing.B) {
+	c, r := pendingBenchCube(b)
+	dims := c.Dims()
+	var dashboards [][]RangeQuery
+	for i := 0; i < 8; i++ {
+		q := workload.Ranges(r, dims, 1, 0.5)[0]
+		ws := workload.Windows(dims, 16, 1, dims[1]/8, dims[1]/16, []int{q.Lo[0]}, []int{q.Hi[0]})
+		dashboards = append(dashboards, rangeQueries(ws))
+	}
+	run := func(b *testing.B, cold bool) {
+		out := make([]int64, len(dashboards[0]))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if cold {
+				c.InvalidatePrefixCache()
+			}
+			if err := c.RangeSumBatchInto(dashboards[i%len(dashboards)], out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("cold", func(b *testing.B) { run(b, true) })
+	b.Run("warm", func(b *testing.B) { run(b, false) })
+}

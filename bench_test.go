@@ -160,8 +160,10 @@ func BenchmarkUpdate(b *testing.B) {
 // dense1024 (1024x1024, whose row-sum groups use the flat layout),
 // grown1024 (the same cube grown once and not materialised, so every
 // query whose region meets the old data reads through the root's
-// delegating box) and dense3d (128x128x128, whose row-sum groups are
-// nested two-dimensional cubes).
+// delegating box), dense3d (128x128x128, whose row-sum groups are
+// nested two-dimensional cubes) and pending64 (a dense 256x256 cube
+// with 64 pending RangeAdd boxes of perfbench's ingest pool shape, so
+// every query pays the pending pass).
 func BenchmarkRangeQuery(b *testing.B) {
 	dims := []int{256, 256}
 	for _, m := range benchMethods() {
@@ -231,6 +233,39 @@ func BenchmarkRangeQuery(b *testing.B) {
 		}
 		benchRangeSums(b, c, qs)
 	})
+	b.Run("pending64", func(b *testing.B) {
+		c, r := pendingBenchCube(b)
+		benchRangeSums(b, c, workload.Ranges(r, c.Dims(), 4096, 0.5))
+	})
+}
+
+// pendingBenchCube builds the pending-read fixture: a dense 256x256
+// cube (every cell 1..100) with 64 pending RangeAdd boxes shaped like
+// perfbench's ingest pool (sides up to 1/16 of the domain), the state
+// the ingest workload holds at steady state. It returns the generator
+// for the caller's queries.
+func pendingBenchCube(b *testing.B) (*DynamicCube, *workload.RNG) {
+	b.Helper()
+	const side = 256
+	dims := []int{side, side}
+	r := workload.NewRNG(2564)
+	vals := make([]int64, side*side)
+	for i := range vals {
+		vals[i] = 1 + r.Int63n(100)
+	}
+	c, err := BuildDynamic(dims, vals, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, q := range workload.Ranges(r, dims, 64, 1.0/16) {
+		if err := c.RangeAdd(q.Lo, q.Hi, int64(i%200)-99); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := c.PendingBoxes(); n != 64 {
+		b.Fatalf("%d pending boxes, want 64", n)
+	}
+	return c, r
 }
 
 // benchRangeSums runs one range-sum query per iteration, cycling qs.

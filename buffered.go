@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ddc/internal/grid"
 	"ddc/internal/logrec"
 	"ddc/internal/obs"
 )
@@ -19,10 +19,10 @@ import (
 // through the existing AddBatch / lazy-box paths — amortizing the
 // O(log^d n) descents, coalescing repeated-cell writes, and taking the
 // tree's exclusive lock once per drain instead of once per op. Queries
-// compose tree + delta exactly (the same signed-term algebra as the
-// pending-box composition in internal/core), so reads are strictly
-// read-your-writes: a mutation is visible to every query that starts
-// after it returns.
+// compose tree + delta exactly (boxes through grid.Boxes, the same
+// one-pass composition as internal/core's pending list), so reads are
+// strictly read-your-writes: a mutation is visible to every query that
+// starts after it returns.
 
 // ErrBufferedClosed is returned by mutations on a closed Buffered.
 var ErrBufferedClosed = errors.New("ddc: buffered cube is closed")
@@ -67,20 +67,15 @@ func (o *BufferedOptions) defaults() {
 	}
 }
 
-// deltaBox is one buffered box update, the same representation as the
-// core tree's pending boxes (inclusive corners, additive delta).
-type deltaBox struct {
-	lo, hi []int
-	delta  int64
-}
-
 // deltaBuf is one generation of the in-memory delta: point deltas in an
 // insertion-ordered slab with a packed-coordinate index (so repeated
-// writes to a cell coalesce into one entry), plus buffered boxes.
+// writes to a cell coalesce into one entry), plus buffered boxes in the
+// core tree's pending-box representation (grid.Boxes: identical boxes
+// merge, cancelled ones drop).
 type deltaBuf struct {
 	idx   map[string]int
 	slab  []PointDelta
-	boxes []deltaBox
+	boxes grid.Boxes
 	ops   uint64 // raw mutations absorbed, coalesced or not
 }
 
@@ -88,9 +83,9 @@ func newDeltaBuf() *deltaBuf {
 	return &deltaBuf{idx: make(map[string]int)}
 }
 
-func (d *deltaBuf) depth() int { return len(d.slab) + len(d.boxes) }
+func (d *deltaBuf) depth() int { return len(d.slab) + d.boxes.Len() }
 
-func (d *deltaBuf) empty() bool { return len(d.slab) == 0 && len(d.boxes) == 0 }
+func (d *deltaBuf) empty() bool { return d.depth() == 0 }
 
 // packCoords appends the fixed-width little-endian encoding of p to key
 // (the delta index's map key).
@@ -99,17 +94,6 @@ func packCoords(key []byte, p []int) []byte {
 		key = binary.LittleEndian.AppendUint64(key, uint64(int64(v)))
 	}
 	return key
-}
-
-// dominates reports q <= p componentwise (q contributes to the prefix
-// sum at p).
-func dominates(q, p []int) bool {
-	for i, v := range q {
-		if v > p[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // inBox reports lo <= q <= hi componentwise.
@@ -133,55 +117,14 @@ func deltaGet(d *deltaBuf, key []byte, p []int) (sum int64, terms int) {
 		sum += d.slab[i].Delta
 		terms++
 	}
-	for i := range d.boxes {
-		if inBox(p, d.boxes[i].lo, d.boxes[i].hi) {
-			sum += d.boxes[i].delta
-			terms++
-		}
-	}
-	return sum, terms
-}
-
-// deltaPrefix returns the delta contribution to the prefix sum at p:
-// point entries dominated by p, plus each box's delta times the volume
-// of its intersection with the dominated region — the same clip-volume
-// algebra as the core tree's pendingPrefix. Nil-safe.
-func deltaPrefix(d *deltaBuf, p []int) (sum int64, terms int) {
-	if d == nil {
-		return 0, 0
-	}
-	for i := range d.slab {
-		e := &d.slab[i]
-		if e.Delta != 0 && dominates(e.Point, p) {
-			sum += e.Delta
-			terms++
-		}
-	}
-	for i := range d.boxes {
-		b := &d.boxes[i]
-		cells := int64(1)
-		for j, v := range p {
-			hi := b.hi[j]
-			if v < hi {
-				hi = v
-			}
-			w := hi - b.lo[j] + 1
-			if w <= 0 {
-				cells = 0
-				break
-			}
-			cells *= int64(w)
-		}
-		if cells != 0 {
-			sum += b.delta * cells
-			terms++
-		}
-	}
-	return sum, terms
+	bv, n := d.boxes.Sum(p, p)
+	return sum + bv, terms + n
 }
 
 // deltaRange returns the delta contribution to the range sum over the
-// inclusive box [lo, hi]. Nil-safe.
+// inclusive box [lo, hi]: the point entries inside it plus one pass over
+// the boxes. Prefix and Total are the ranges [bounds lo, p] and the
+// whole domain (every entry lies inside the bounds). Nil-safe.
 func deltaRange(d *deltaBuf, lo, hi []int) (sum int64, terms int) {
 	if d == nil {
 		return 0, 0
@@ -193,53 +136,8 @@ func deltaRange(d *deltaBuf, lo, hi []int) (sum int64, terms int) {
 			terms++
 		}
 	}
-	for i := range d.boxes {
-		b := &d.boxes[i]
-		cells := int64(1)
-		for j := range lo {
-			l, h := b.lo[j], b.hi[j]
-			if lo[j] > l {
-				l = lo[j]
-			}
-			if hi[j] < h {
-				h = hi[j]
-			}
-			w := h - l + 1
-			if w <= 0 {
-				cells = 0
-				break
-			}
-			cells *= int64(w)
-		}
-		if cells != 0 {
-			sum += b.delta * cells
-			terms++
-		}
-	}
-	return sum, terms
-}
-
-// deltaTotal returns the delta contribution to the cube total. Nil-safe.
-func deltaTotal(d *deltaBuf) (sum int64, terms int) {
-	if d == nil {
-		return 0, 0
-	}
-	for i := range d.slab {
-		if e := &d.slab[i]; e.Delta != 0 {
-			sum += e.Delta
-			terms++
-		}
-	}
-	for i := range d.boxes {
-		b := &d.boxes[i]
-		cells := int64(1)
-		for j := range b.lo {
-			cells *= int64(b.hi[j] - b.lo[j] + 1)
-		}
-		sum += b.delta * cells
-		terms++
-	}
-	return sum, terms
+	bv, n := d.boxes.Sum(lo, hi)
+	return sum + bv, terms + n
 }
 
 // bufBounds is the cached logical domain (inclusive lo, exclusive hi)
@@ -460,33 +358,16 @@ func (d *deltaBuf) addPoint(key []byte, p []int, delta int64) (coalesced bool) {
 	return false
 }
 
-// addBox merges a box delta into an identical outstanding box (dropping
-// it when the deltas cancel) or appends it, and reports whether it
-// merged. The caller holds dmu exclusively.
-func (d *deltaBuf) addBox(lo, hi []int, delta int64) (merged bool) {
-	d.ops++
-	for i := range d.boxes {
-		bx := &d.boxes[i]
-		if slices.Equal(bx.lo, lo) && slices.Equal(bx.hi, hi) {
-			bx.delta += delta
-			if bx.delta == 0 {
-				d.boxes = slices.Delete(d.boxes, i, i+1)
-			}
-			return true
-		}
-	}
-	d.boxes = append(d.boxes, deltaBox{lo: cloneInts(lo), hi: cloneInts(hi), delta: delta})
-	return false
-}
-
-// afterWrite applies the drain policy for the post-write depth.
-func (b *Buffered) afterWrite(depth, boxes int, coalesced bool) {
-	b.buffered.Add(1)
-	if coalesced {
-		b.coalesced.Add(1)
+// afterWrite accounts writes buffered mutations, coalesced of which
+// merged into an existing entry, then applies the drain policy for the
+// post-write depth.
+func (b *Buffered) afterWrite(writes, coalesced, depth, boxes int) {
+	b.buffered.Add(uint64(writes))
+	if coalesced != 0 {
+		b.coalesced.Add(uint64(coalesced))
 	}
 	if tel := globalTelemetry; tel.on() {
-		tel.recordDeltaBuffered(coalesced)
+		tel.recordDeltaBuffered(writes, coalesced)
 	}
 	if depth >= b.opts.HardMax && !b.frozenForCkpt.Load() {
 		// Backpressure: the writer performs a drain itself so the delta
@@ -555,11 +436,10 @@ func (b *Buffered) apply(m logrec.Mutation) error {
 	}
 	b.dmu.Lock()
 	a := b.active
-	var coalesced bool
-	boxes := 0
+	var merged bool
 	if box {
-		coalesced = a.addBox(m.Lo, m.Hi, m.Delta)
-		boxes = len(a.boxes)
+		a.ops++
+		merged = a.boxes.Add(m.Lo, m.Hi, m.Delta)
 	} else {
 		b.key = packCoords(b.key[:0], m.Lo)
 		delta := m.Delta
@@ -568,21 +448,26 @@ func (b *Buffered) apply(m logrec.Mutation) error {
 			fv, _ := deltaGet(b.frozen, b.key, m.Lo)
 			delta -= b.inner.Get(m.Lo) + dv + fv
 		}
-		coalesced = a.addPoint(b.key, m.Lo, delta)
+		merged = a.addPoint(b.key, m.Lo, delta)
 	}
-	depth := a.depth()
+	depth, boxes := a.depth(), a.boxes.Len()
 	b.dmu.Unlock()
 	if set {
 		b.applyMu.RUnlock()
 	}
-	b.afterWrite(depth, boxes, coalesced)
+	coalesced := 0
+	if merged {
+		coalesced = 1
+	}
+	b.afterWrite(1, coalesced, depth, boxes)
 	return nil
 }
 
 // AddBatch implements BatchAdder: every delta is validated and buffered
-// in order under one lock acquisition. On the first invalid point the
-// batch stops and the error reports its index; earlier deltas remain
-// buffered (matching DynamicCube.AddBatch's semantics).
+// in order under one lock acquisition, with the same accounting and
+// drain policy as Add. On the first invalid point the batch stops and
+// the error reports its index; earlier deltas remain buffered (matching
+// DynamicCube.AddBatch's semantics).
 func (b *Buffered) AddBatch(batch []PointDelta) error {
 	if err := b.writable(); err != nil {
 		return err
@@ -600,22 +485,17 @@ func (b *Buffered) AddBatch(batch []PointDelta) error {
 	}
 	b.dmu.Lock()
 	a := b.active
+	coalesced := 0
 	for i := 0; i < n; i++ {
 		b.key = packCoords(b.key[:0], batch[i].Point)
-		a.addPoint(b.key, batch[i].Point, batch[i].Delta)
+		if a.addPoint(b.key, batch[i].Point, batch[i].Delta) {
+			coalesced++
+		}
 	}
-	depth := a.depth()
+	depth, boxes := a.depth(), a.boxes.Len()
 	b.dmu.Unlock()
-	b.buffered.Add(uint64(n))
-	if failed != nil {
-		return failed
-	}
-	if depth >= b.opts.HardMax && !b.frozenForCkpt.Load() {
-		b.tryDrain()
-	} else if depth >= b.opts.MaxDelta {
-		b.wakeMerger()
-	}
-	return nil
+	b.afterWrite(n, coalesced, depth, boxes)
+	return failed
 }
 
 // ---------------------------------------------------------------------
@@ -667,12 +547,16 @@ func (b *Buffered) Get(p []int) int64 {
 
 // Prefix implements Cube.
 func (b *Buffered) Prefix(p []int) int64 {
+	if len(p) != b.d {
+		return 0
+	}
 	b.applyMu.RLock()
 	v := b.inner.Prefix(p)
+	lo := b.bounds.Load().lo
 	b.dmu.RLock()
-	dv, n := deltaPrefix(b.active, p)
+	dv, n := deltaRange(b.active, lo, p)
 	v += dv
-	dv, n2 := deltaPrefix(b.frozen, p)
+	dv, n2 := deltaRange(b.frozen, lo, p)
 	v += dv
 	b.dmu.RUnlock()
 	b.applyMu.RUnlock()
@@ -777,10 +661,11 @@ func (b *Buffered) innerBatch(queries []RangeQuery, out []int64, sc *obs.SpanCon
 func (b *Buffered) Total() int64 {
 	b.applyMu.RLock()
 	v := b.inner.Total()
+	lo, hi := b.workloadBounds()
 	b.dmu.RLock()
-	dv, n := deltaTotal(b.active)
+	dv, n := deltaRange(b.active, lo, hi)
 	v += dv
-	dv, n2 := deltaTotal(b.frozen)
+	dv, n2 := deltaRange(b.frozen, lo, hi)
 	v += dv
 	b.dmu.RUnlock()
 	b.applyMu.RUnlock()
@@ -794,6 +679,9 @@ func (b *Buffered) Total() int64 {
 // their cell with K 0, boxes anchored at their low corner with K the
 // longest side.
 func (b *Buffered) ExplainPrefix(p []int) (int64, []Contribution) {
+	if len(p) != b.d {
+		return 0, nil
+	}
 	b.applyMu.RLock()
 	var sum int64
 	var parts []Contribution
@@ -803,6 +691,7 @@ func (b *Buffered) ExplainPrefix(p []int) (int64, []Contribution) {
 		sum = b.inner.Prefix(p)
 	}
 	terms := 0
+	lo := b.bounds.Load().lo
 	b.dmu.RLock()
 	for _, d := range []*deltaBuf{b.active, b.frozen} {
 		if d == nil {
@@ -810,7 +699,7 @@ func (b *Buffered) ExplainPrefix(p []int) (int64, []Contribution) {
 		}
 		for i := range d.slab {
 			e := &d.slab[i]
-			if e.Delta != 0 && dominates(e.Point, p) {
+			if e.Delta != 0 && inBox(e.Point, lo, p) {
 				parts = append(parts, Contribution{
 					Level: 0, BoxAnchor: cloneInts(e.Point), Kind: "delta", Value: e.Delta,
 				})
@@ -818,33 +707,22 @@ func (b *Buffered) ExplainPrefix(p []int) (int64, []Contribution) {
 				terms++
 			}
 		}
-		for i := range d.boxes {
-			bx := &d.boxes[i]
-			cells := int64(1)
+		for i := 0; i < d.boxes.Len(); i++ {
+			cells := d.boxes.Cells(i, lo, p)
+			if cells == 0 {
+				continue
+			}
+			blo, bhi, delta := d.boxes.Box(i)
 			side := 0
-			for j, v := range p {
-				hi := bx.hi[j]
-				if v < hi {
-					hi = v
-				}
-				w := hi - bx.lo[j] + 1
-				if w <= 0 {
-					cells = 0
-					break
-				}
-				cells *= int64(w)
-				if ext := bx.hi[j] - bx.lo[j] + 1; ext > side {
-					side = ext
-				}
+			for j := range blo {
+				side = max(side, bhi[j]-blo[j]+1)
 			}
-			if cells != 0 {
-				v := bx.delta * cells
-				parts = append(parts, Contribution{
-					Level: 0, BoxAnchor: cloneInts(bx.lo), K: side, Kind: "delta", Value: v,
-				})
-				sum += v
-				terms++
-			}
+			v := delta * cells
+			parts = append(parts, Contribution{
+				Level: 0, BoxAnchor: cloneInts(blo), K: side, Kind: "delta", Value: v,
+			})
+			sum += v
+			terms++
 		}
 	}
 	b.dmu.RUnlock()
@@ -956,7 +834,7 @@ func (b *Buffered) drainLocked() error {
 
 	b.drains.Add(1)
 	b.drainedPts.Add(uint64(len(frozen.slab)))
-	b.drainedBoxes.Add(uint64(len(frozen.boxes)))
+	b.drainedBoxes.Add(uint64(frozen.boxes.Len()))
 	if tel := globalTelemetry; tel.on() {
 		tel.recordDeltaDrain(time.Since(start), frozen.depth())
 	}
@@ -984,9 +862,9 @@ func (b *Buffered) drainInto(f *deltaBuf) error {
 			}
 		}
 	}
-	for i := range f.boxes {
-		bx := &f.boxes[i]
-		if err := b.inner.RangeAdd(bx.lo, bx.hi, bx.delta); err != nil {
+	for i := 0; i < f.boxes.Len(); i++ {
+		lo, hi, delta := f.boxes.Box(i)
+		if err := b.inner.RangeAdd(lo, hi, delta); err != nil {
 			return fmt.Errorf("ddc: delta drain (box): %w", err)
 		}
 	}
@@ -1060,11 +938,11 @@ func (b *Buffered) Stats() BufferedStats {
 	b.dmu.RLock()
 	st := BufferedStats{
 		Points: len(b.active.slab),
-		Boxes:  len(b.active.boxes),
+		Boxes:  b.active.boxes.Len(),
 	}
 	if b.frozen != nil {
 		st.FrozenPoints = len(b.frozen.slab)
-		st.FrozenBoxes = len(b.frozen.boxes)
+		st.FrozenBoxes = b.frozen.boxes.Len()
 	}
 	b.dmu.RUnlock()
 	st.BufferedOps = b.buffered.Load()

@@ -724,3 +724,67 @@ func mustDyn(x, y int) *DynamicCube {
 	}
 	return c
 }
+
+// TestBufferedAddBatchCoalesceAccounting pins that AddBatch accounts
+// its writes exactly like the same writes through Add: every entry
+// counts as buffered, a second entry at one cell counts as coalesced,
+// in Stats and in the telemetry delta counters alike.
+func TestBufferedAddBatchCoalesceAccounting(t *testing.T) {
+	tel := GlobalTelemetry()
+	tel.Enable()
+	defer tel.Disable()
+	defer tel.Reset()
+
+	batch := []PointDelta{
+		{Point: []int{1, 1}, Delta: 2},
+		{Point: []int{1, 1}, Delta: 3},
+		{Point: []int{2, 5}, Delta: 1},
+	}
+	for _, batched := range []bool{false, true} {
+		tel.Reset()
+		b := newBufferedManual(t, mustDyn(8, 8))
+		if batched {
+			if err := b.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, e := range batch {
+				if err := b.Add(e.Point, e.Delta); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if st := b.Stats(); st.BufferedOps != 3 || st.Coalesced != 1 || st.Points != 2 {
+			t.Fatalf("batched=%v: Stats buffered/coalesced/points = %d/%d/%d, want 3/1/2",
+				batched, st.BufferedOps, st.Coalesced, st.Points)
+		}
+		if snap := tel.Snapshot(); snap.DeltaOpsBuffered != 3 || snap.DeltaCoalesced != 1 {
+			t.Fatalf("batched=%v: telemetry buffered/coalesced = %d/%d, want 3/1",
+				batched, snap.DeltaOpsBuffered, snap.DeltaCoalesced)
+		}
+		if got := b.Get([]int{1, 1}); got != 5 {
+			t.Fatalf("batched=%v: Get = %d, want 5", batched, got)
+		}
+	}
+}
+
+// TestBufferedPrefixWrongDims pins that a prefix point of the wrong
+// dimensionality reads 0, as on DynamicCube, instead of indexing past
+// it while composing buffered entries.
+func TestBufferedPrefixWrongDims(t *testing.T) {
+	b := newBufferedManual(t, mustDyn(8, 8))
+	if err := b.Add([]int{1, 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RangeAdd([]int{0, 0}, []int{3, 3}, 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]int{{4}, {4, 4, 4}} {
+		if got := b.Prefix(p); got != 0 {
+			t.Fatalf("Prefix(%v) = %d, want 0", p, got)
+		}
+		if got, parts := b.ExplainPrefix(p); got != 0 || len(parts) != 0 {
+			t.Fatalf("ExplainPrefix(%v) = %d with %d parts, want 0 and none", p, got, len(parts))
+		}
+	}
+}

@@ -212,7 +212,8 @@ func (c *DynamicCube) Add(p []int, d int64) error {
 // lazy update in O(d) — independent of the box volume — and composed
 // into every subsequent query until Grow, Materialize or Compact push
 // it down into the tree (see FlushPending). Each outstanding pending
-// box adds O(d) to every query, so interleave RangeAdd bursts with
+// box adds O(d) once per query box (not per corner: the corners
+// descend the tree alone), so interleave RangeAdd bursts with
 // Materialize/Compact at quiet moments. See Set for the telemetry
 // contract.
 func (c *DynamicCube) RangeAdd(lo, hi []int, d int64) error {

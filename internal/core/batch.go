@@ -28,12 +28,16 @@ import (
 //     pooled query scratch — fanned out over GOMAXPROCS goroutines,
 //     one scratch each, only above a measured crossover
 //     (batchFanoutMin);
-//  4. gather the signed terms back into per-query results.
+//  4. gather the signed terms back into per-query results, adding the
+//     pending range updates (RangeAdd) in one pass per query box.
 //
-// Operation counts reflect the deduplicated work: a corner descended
-// once is counted once no matter how many queries consume it, and a
-// cache hit costs nothing. The caller attributes the batch to its
-// logical queries (see the ddc package's telemetry recording).
+// Corner values — descended or cached — are tree-only: pending boxes
+// never enter a corner. Operation counts reflect the deduplicated work:
+// a corner descended once is counted once no matter how many queries
+// consume it, a cache hit costs nothing, and each query box pays one
+// pending term per pending box it meets. The caller attributes the
+// batch to its logical queries (see the ddc package's telemetry
+// recording).
 
 // Box is one inclusive logical range-sum query inside a batch.
 type Box struct {
@@ -64,11 +68,12 @@ type BatchStats struct {
 // stay resident, large enough for a dashboard's worth of hot corners.
 const prefixCacheCap = 4096
 
-// prefixCache memoises corner prefix values between batches. All
-// entries belong to one mutation epoch; a batch under a newer epoch
-// drops everything, so a single atomic epoch bump on any mutation is
-// the entire invalidation protocol. The mutex only coordinates batches
-// with each other — mutations never touch the cache.
+// prefixCache memoises tree-only corner prefix values between
+// batches. All entries belong to one mutation epoch; a batch under a
+// newer epoch drops everything, so a single atomic epoch bump on any
+// mutation is the entire invalidation protocol. The mutex only
+// coordinates batches with each other — mutations never touch the
+// cache.
 //
 // The cache is keyed by the planner's corner hash: m maps a hash slot
 // to an entry, and every entry keeps its corner's coordinates, so a hit
@@ -391,8 +396,10 @@ func (t *Tree) RangeSumBatchTraceOps(queries []Box, out []int64, sc *obs.SpanCon
 	sc.SetAttr(execSpan, "node_visits", int64(ops.NodeVisits))
 	sc.End(execSpan)
 
-	// Gather the signed terms back into per-query results.
+	// Gather the signed terms back into per-query results, adding the
+	// pending range updates once per query box.
 	gatherSpan := sc.Start("batch.gather", parent)
+	pending := t.pending.Len() != 0
 	for qi := range out {
 		var sum int64
 		for _, tm := range scr.terms[scr.qoff[qi]:scr.qoff[qi+1]] {
@@ -401,6 +408,9 @@ func (t *Tree) RangeSumBatchTraceOps(queries []Box, out []int64, sc *obs.SpanCon
 			} else {
 				sum += values[tm.corner]
 			}
+		}
+		if pending {
+			sum += t.pendingSum(queries[qi].Lo, queries[qi].Hi, &ops)
 		}
 		out[qi] = sum
 	}

@@ -107,8 +107,9 @@ func distinctCorners(tr *Tree, boxes []Box) []grid.Point {
 
 // checkBatch runs boxes as one batch on tr (cache state as the caller
 // left it) and checks the answers against a RangeSum loop, the op
-// counts against the PrefixOps of the corners in wantMiss, and the
-// cache split.
+// counts against the reference tree-only descents of the corners in
+// wantMiss plus one pending term per (query box, pending box) pair
+// that meets, and the cache split.
 func checkBatch(t *testing.T, name string, tr *Tree, boxes []Box, wantMiss []grid.Point, wantHits int) BatchStats {
 	t.Helper()
 	out := make([]int64, len(boxes))
@@ -127,11 +128,13 @@ func checkBatch(t *testing.T, name string, tr *Tree, boxes []Box, wantMiss []gri
 	}
 	var wantOps cube.OpCounter
 	for _, c := range wantMiss {
-		_, ops := tr.PrefixOps(c)
-		wantOps.Add(ops)
+		refTreePrefix(tr, c, &wantOps, nil)
+	}
+	for _, b := range boxes {
+		refPendingHits(tr, b.Lo, b.Hi, &wantOps)
 	}
 	if gotOps != wantOps {
-		t.Fatalf("%s: batch ops %+v, PrefixOps over %d missing corners %+v", name, gotOps, len(wantMiss), wantOps)
+		t.Fatalf("%s: batch ops %+v, reference over %d missing corners and %d boxes %+v", name, gotOps, len(wantMiss), len(boxes), wantOps)
 	}
 	if st.CacheMisses != len(wantMiss) || st.CacheHits != wantHits {
 		t.Fatalf("%s: cache hits/misses %d/%d, want %d/%d", name, st.CacheHits, st.CacheMisses, wantHits, len(wantMiss))
@@ -140,8 +143,9 @@ func checkBatch(t *testing.T, name string, tr *Tree, boxes []Box, wantMiss []gri
 }
 
 // TestBatchMatchesDistinctPrefixes pins what a batch costs: its values
-// equal a RangeSum loop's, and its op count is exactly the sum of
-// PrefixOps over its distinct cache-missing corners — cold (every
+// equal a RangeSum loop's, and its op count is exactly the sum of the
+// tree-only descents of its distinct cache-missing corners plus one
+// pending term per pending box each query box meets — cold (every
 // distinct corner misses) and half warm (a first batch over half the
 // boxes has cached its corners). Every tree runs a small batch, which
 // descends on the calling goroutine, and a batch with at least

@@ -15,9 +15,13 @@ import (
 // straight-line descents replaced: at every node it classifies each of
 // the 2^d boxes dimension by dimension as before, wholly dominated,
 // cut by one face, or covering the target, and recurses into the
-// covering child. It shares nothing with the production descent except
-// the tree itself and the pending-box scan, so TestDescentMatchesReference
-// pins the rewrite's answers and its op counts to it.
+// covering child. Pending range updates are composed the way the tree
+// composed them before they moved to one pass per query box: clipped
+// at every corner (refPendingPrefix), with the terms counted once per
+// pending box meeting the query box (refPendingHits). It shares nothing
+// with the production code except the tree itself, so
+// TestDescentMatchesReference pins the descent's answers and op counts
+// to it.
 
 type refFrame struct {
 	boxAnchor, l, qq grid.Point
@@ -51,9 +55,19 @@ func (s *refScratch) visit(depth int) {
 	}
 }
 
-// refPrefixWithOps is the reference counterpart of prefixWithOps.
+// refPrefixWithOps is the reference counterpart of prefixWithOps: the
+// tree-only reference descent plus the pending boxes clipped at p, with
+// one pending term per box meeting [origin, p].
 func refPrefixWithOps(t *Tree, p grid.Point, ops *cube.OpCounter, lv *[]uint64) int64 {
-	if len(p) != t.d || (t.root == noRec && len(t.pending) == 0) {
+	v := refTreePrefix(t, p, ops, lv)
+	refPendingHits(t, t.origin, p, ops)
+	return v + refPendingPrefix(t, p)
+}
+
+// refTreePrefix is the reference counterpart of prefixAt: the prefix
+// sum of the overlay tree alone at the logical point p.
+func refTreePrefix(t *Tree, p grid.Point, ops *cube.OpCounter, lv *[]uint64) int64 {
+	if len(p) != t.d || t.root == noRec {
 		return 0
 	}
 	s := &refScratch{lvOn: lv != nil}
@@ -68,11 +82,7 @@ func refPrefixWithOps(t *Tree, p grid.Point, ops *cube.OpCounter, lv *[]uint64) 
 		}
 		q[i] = v
 	}
-	var sum int64
-	if t.root != noRec {
-		sum = refPrefixRec(t, s, t.root, make(grid.Point, t.d), t.n, q, 0)
-	}
-	sum += t.pendingPrefix(q, &s.ops)
+	sum := refPrefixRec(t, s, t.root, make(grid.Point, t.d), t.n, q, 0)
 	ops.Add(s.ops)
 	if lv != nil {
 		for i, n := range s.lv {
@@ -83,6 +93,44 @@ func refPrefixWithOps(t *Tree, p grid.Point, ops *cube.OpCounter, lv *[]uint64) 
 		}
 	}
 	return sum
+}
+
+// refPendingPrefix is the per-corner pending composition: for each
+// pending box, delta times the volume of the box clipped to the region
+// dominated by the logical point p.
+func refPendingPrefix(t *Tree, p grid.Point) int64 {
+	var sum int64
+	for bi := 0; bi < t.pending.Len(); bi++ {
+		lo, hi, delta := t.pending.Box(bi)
+		cells := int64(1)
+		for i, v := range p {
+			w := min(hi[i], v) - lo[i] + 1
+			if w <= 0 {
+				cells = 0
+				break
+			}
+			cells *= int64(w)
+		}
+		sum += delta * cells
+	}
+	return sum
+}
+
+// refPendingHits counts, into ops, one pending term (a cell read and a
+// KindPending contribution) per pending box that meets the inclusive
+// logical box [lo, hi].
+func refPendingHits(t *Tree, lo, hi grid.Point, ops *cube.OpCounter) {
+	for bi := 0; bi < t.pending.Len(); bi++ {
+		blo, bhi, _ := t.pending.Box(bi)
+		meets := true
+		for i := range lo {
+			meets = meets && blo[i] <= hi[i] && lo[i] <= bhi[i]
+		}
+		if meets {
+			ops.QueryCells++
+			ops.Contribs[KindPending]++
+		}
+	}
 }
 
 func refPrefixRec(t *Tree, s *refScratch, nd int32, anchor grid.Point, ext int, q grid.Point, depth int) int64 {
@@ -171,7 +219,7 @@ func refBoxPrefix(t *Tree, b *boxRec, k, j int, l []int, ops *cube.OpCounter) in
 		ops.QueryCells += visits
 		return v
 	}
-	return refPrefixWithOps(g.tr, grid.Point(l), ops, nil)
+	return refTreePrefix(g.tr, grid.Point(l), ops, nil)
 }
 
 func refLeafPrefix(t *Tree, s *refScratch, leaf int32, anchor, q grid.Point, depth int) int64 {
@@ -210,13 +258,15 @@ func refLeafPrefix(t *Tree, s *refScratch, leaf int32, anchor, q grid.Point, dep
 }
 
 // TestDescentMatchesReference compares the production descent with the
-// reference descent point by point — value, per-call op counts and the
-// per-level visit profile, exactly — for d = 1..4, tiles 1, 2, 4 and 8
-// and every backend, on empty, sparse and dense trees, with pending
-// RangeAdd boxes, after growth in before and after directions (the
-// root boxes over the old data delegate) and after Materialize. Each
-// state also checks that RangeSumOps counts exactly the reference ops
-// of its in-range corners.
+// reference descent point by point — the tree-only corner's value, op
+// counts and per-level visit profile, and Prefix's value and op counts
+// with the pending boxes composed, exactly — for d = 1..4, tiles 1, 2,
+// 4 and 8 and every backend, on empty, sparse and dense trees, with
+// pending RangeAdd boxes, after growth in before and after directions
+// (the root boxes over the old data delegate) and after Materialize.
+// Each state also checks that RangeSumOps counts exactly the reference
+// ops of its in-range corners plus one pending term per pending box
+// meeting the query box.
 func TestDescentMatchesReference(t *testing.T) {
 	dimsByD := [][]int{{23}, {13, 9}, {7, 5, 6}, {3, 4, 2, 3}}
 	for _, dims := range dimsByD {
@@ -330,18 +380,19 @@ func checkDescent(t *testing.T, state string, tr *Tree, r *rand.Rand) {
 	beyond[0] += 3
 	points = append(points, below, beyond)
 	for _, p := range points {
-		var plainOps, wantOps cube.OpCounter
+		var plainOps, wantOps, wantTreeOps cube.OpCounter
 		var wantLv []uint64
 		plain := tr.prefixWithOps(p, &plainOps)
 		got, gotOps, gotLv := tracedPrefix(tr, p)
-		want := refPrefixWithOps(tr, p, &wantOps, &wantLv)
-		if got != want || gotOps != wantOps || !reflect.DeepEqual(gotLv, wantLv) {
-			t.Fatalf("%s: Prefix(%v) = %d ops %+v lv %v; reference %d ops %+v lv %v",
-				state, p, got, gotOps, gotLv, want, wantOps, wantLv)
+		wantTree := refTreePrefix(tr, p, &wantTreeOps, &wantLv)
+		if got != wantTree || gotOps != wantTreeOps || !reflect.DeepEqual(gotLv, wantLv) {
+			t.Fatalf("%s: tree-only corner %v = %d ops %+v lv %v; reference %d ops %+v lv %v",
+				state, p, got, gotOps, gotLv, wantTree, wantTreeOps, wantLv)
 		}
-		if plain != got || plainOps != gotOps {
-			t.Fatalf("%s: untraced Prefix(%v) = %d ops %+v; traced %d ops %+v",
-				state, p, plain, plainOps, got, gotOps)
+		want := refPrefixWithOps(tr, p, &wantOps, nil)
+		if plain != want || plainOps != wantOps {
+			t.Fatalf("%s: Prefix(%v) = %d ops %+v; reference %d ops %+v",
+				state, p, plain, plainOps, want, wantOps)
 		}
 	}
 	for i := 0; i < 50; i++ {
@@ -366,12 +417,13 @@ func checkDescent(t *testing.T, state string, tr *Tree, r *rand.Rand) {
 					neg = !neg
 				}
 			}
-			v := refPrefixWithOps(tr, corner, &wantOps, nil)
+			v := refTreePrefix(tr, corner, &wantOps, nil) + refPendingPrefix(tr, corner)
 			if neg {
 				v = -v
 			}
 			want += v
 		}
+		refPendingHits(tr, blo, bhi, &wantOps)
 		if got != want || gotOps != wantOps {
 			t.Fatalf("%s: RangeSum(%v, %v) = %d ops %+v; reference %d ops %+v",
 				state, blo, bhi, got, gotOps, want, wantOps)
@@ -379,13 +431,13 @@ func checkDescent(t *testing.T, state string, tr *Tree, r *rand.Rand) {
 	}
 }
 
-// tracedPrefix answers the prefix at p the way a traced batch runs a
-// corner — on a cornerScratch with the per-level visit profile on —
-// and returns the value, the op counts and the profile (nil when the
-// descent visits nothing).
+// tracedPrefix answers the tree-only prefix at p the way a traced
+// batch runs a corner — on a cornerScratch with the per-level visit
+// profile on — and returns the value, the op counts and the profile
+// (nil when the descent visits nothing).
 func tracedPrefix(t *Tree, p grid.Point) (int64, cube.OpCounter, []uint64) {
 	var ops cube.OpCounter
-	if t.root == noRec && len(t.pending) == 0 {
+	if t.root == noRec {
 		return 0, ops, nil
 	}
 	s := t.cornerScratch([]uint64{})

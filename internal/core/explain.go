@@ -70,7 +70,7 @@ type Contribution struct {
 // only for the queries that answer callers, so a traced query that is
 // re-walked here is not counted twice.
 func (t *Tree) ExplainPrefix(p grid.Point) (int64, []Contribution) {
-	if len(p) != t.d || (t.root == noRec && len(t.pending) == 0) {
+	if len(p) != t.d || (t.root == noRec && t.pending.Len() == 0) {
 		return 0, nil
 	}
 	q := make(grid.Point, t.d)
@@ -91,34 +91,23 @@ func (t *Tree) ExplainPrefix(p grid.Point) (int64, []Contribution) {
 		sum = t.explainRec(s, t.root, make(grid.Point, t.d), t.n, q, 0, &parts)
 	}
 	// Pending range updates contribute at the top of the descent: one
-	// entry per overlapping box (Level 0; K reports the box's longest
-	// side since pending boxes need not be cubes).
-	for bi := range t.pending {
-		b := &t.pending[bi]
-		cells := int64(1)
-		side := 0
-		for i, v := range q {
-			hi := b.hi[i]
-			if lp := v + t.origin[i]; lp < hi {
-				hi = lp
-			}
-			w := hi - b.lo[i] + 1
-			if w <= 0 {
-				cells = 0
-				break
-			}
-			cells *= int64(w)
-			if ext := b.hi[i] - b.lo[i] + 1; ext > side {
-				side = ext
-			}
-		}
+	// entry per box meeting [origin, p] (Level 0; K reports the box's
+	// longest side since pending boxes need not be cubes). Pending
+	// boxes lie inside the bounds, so p needs no clamp.
+	for bi := 0; bi < t.pending.Len(); bi++ {
+		cells := t.pending.Cells(bi, t.origin, p)
 		if cells == 0 {
 			continue
 		}
-		v := b.delta * cells
+		lo, hi, delta := t.pending.Box(bi)
+		side := 0
+		for i := range lo {
+			side = max(side, hi[i]-lo[i]+1)
+		}
+		v := delta * cells
 		sum += v
 		parts = append(parts, Contribution{
-			Level: 0, BoxAnchor: b.lo.Clone(), K: side, Kind: KindPending, Value: v,
+			Level: 0, BoxAnchor: lo.Clone(), K: side, Kind: KindPending, Value: v,
 		})
 	}
 	putQueryScratch(s)

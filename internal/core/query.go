@@ -40,7 +40,7 @@ func (t *Tree) PrefixOps(p grid.Point) (int64, cube.OpCounter) {
 // into ops instead of the tree's shared counter. Nested group trees use
 // this entry point so an entire query merges its counts exactly once.
 func (t *Tree) prefixWithOps(p grid.Point, ops *cube.OpCounter) int64 {
-	if len(p) != t.d || (t.root == noRec && len(t.pending) == 0) {
+	if len(p) != t.d || (t.root == noRec && t.pending.Len() == 0) {
 		return 0
 	}
 	for i, v := range p {
@@ -53,6 +53,11 @@ func (t *Tree) prefixWithOps(p grid.Point, ops *cube.OpCounter) int64 {
 		s.q[i] = min(v-t.origin[i], t.n-1)
 	}
 	sum := t.prefixAt(s)
+	if t.pending.Len() != 0 {
+		// Pending boxes lie inside the bounds, so clipping them to
+		// [origin, p] needs no clamp.
+		sum += t.pendingSum(t.origin, p, &s.ops)
+	}
 	ops.Add(s.ops)
 	putQueryScratch(s)
 	return sum
@@ -71,23 +76,20 @@ func (t *Tree) Levels() int {
 	return levels
 }
 
-// prefixAt returns the prefix sum at the clamped internal point s.q:
-// the overlay descent plus the pending range updates.
+// prefixAt returns the tree-only prefix sum at the clamped internal
+// point s.q: the overlay descent, without the pending range updates
+// (callers add those once per query box; see pendingSum).
 func (t *Tree) prefixAt(s *queryScratch) int64 {
-	var sum int64
 	switch q := s.q; {
 	case t.root == noRec:
+		return 0
 	case t.d == 2:
-		sum = t.prefix2(s, t.root, 0, 0, t.n, q[0], q[1], 0)
+		return t.prefix2(s, t.root, 0, 0, t.n, q[0], q[1], 0)
 	default:
 		anchor, _ := s.frame(0, t.d)
 		clear(anchor)
-		sum = t.prefixRec(s, t.root, anchor, t.n, q, 0)
+		return t.prefixRec(s, t.root, anchor, t.n, q, 0)
 	}
-	if len(t.pending) != 0 {
-		sum += t.pendingPrefix(s.q, &s.ops)
-	}
-	return sum
 }
 
 // descend returns SUM over the region [anchor : q] of the subtree of
@@ -355,20 +357,21 @@ func (t *Tree) RangeSum(lo, hi grid.Point) (int64, error) {
 }
 
 // RangeSumOps is RangeSum returning, in addition, the operation counts
-// of this one call (summed over the 2^d corner prefix queries); see
-// PrefixOps.
+// of this one call (summed over the 2^d tree-only corner descents and
+// the one pending pass); see PrefixOps.
 //
 // The corner reduction is the signed sum over the 2^d corners that
 // take hi_i or lo_i - 1 in each dimension. A corner below the origin
 // in any dimension dominates an empty region and is skipped before it
 // costs anything; the others run on the one query scratch the call
 // checks out. checkRange has bounded hi by the domain, so no corner
-// needs clamping to the padded side.
+// needs clamping to the padded side. Pending range updates are added
+// once, over [lo, hi] itself, after the corners.
 func (t *Tree) RangeSumOps(lo, hi grid.Point) (int64, cube.OpCounter, error) {
 	if err := t.checkRange(lo, hi); err != nil {
 		return 0, cube.OpCounter{}, err
 	}
-	if t.root == noRec && len(t.pending) == 0 {
+	if t.root == noRec && t.pending.Len() == 0 {
 		return 0, cube.OpCounter{}, nil
 	}
 	s := getQueryScratch(t.d)
@@ -393,6 +396,9 @@ corners:
 		} else {
 			total += v
 		}
+	}
+	if t.pending.Len() != 0 {
+		total += t.pendingSum(lo, hi, &s.ops)
 	}
 	ops := s.ops
 	putQueryScratch(s)
@@ -435,8 +441,9 @@ func (t *Tree) Get(p grid.Point) int64 {
 		v = t.getWithScratch(s, p)
 		putQueryScratch(s)
 	}
-	if len(t.pending) != 0 {
-		v += t.pendingAt(p)
+	if t.pending.Len() != 0 {
+		pv, _ := t.pending.Sum(p, p)
+		v += pv
 	}
 	return v
 }

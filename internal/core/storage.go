@@ -49,13 +49,14 @@ func (t *Tree) ForEachNonZero(fn func(p grid.Point, v int64)) {
 // reads the tree and is safe for concurrent callers.
 func (t *Tree) ForEachNonZeroUntil(fn func(p grid.Point, v int64) bool) bool {
 	logical := make(grid.Point, t.d)
-	merged := len(t.pending) != 0
+	merged := t.pending.Len() != 0
 	cont := t.forEachInRangeRec(t.ar, t.root, make(grid.Point, t.d), t.n, nil, nil, func(q grid.Point, v int64) bool {
 		for i := 0; i < t.d; i++ {
 			logical[i] = q[i] + t.origin[i]
 		}
 		if merged {
-			if v += t.pendingAt(logical); v == 0 {
+			pv, _ := t.pending.Sum(logical, logical)
+			if v += pv; v == 0 {
 				return true
 			}
 		}
@@ -70,26 +71,24 @@ func (t *Tree) ForEachNonZeroUntil(fn func(p grid.Point, v int64) bool) bool {
 // forEachPendingOnlyUntil yields, in logical coordinates, every cell
 // whose merged value is nonzero purely because of pending range deltas
 // (its stored value is zero) — the second pass of a merged iteration.
-// rlo/rhi optionally restrict the walk to an inclusive logical box (nil
-// means unbounded). Reports whether the walk ran to completion.
+// rlo/rhi optionally restrict the walk to an inclusive logical box
+// (both nil means unbounded). Reports whether the walk ran to
+// completion.
 func (t *Tree) forEachPendingOnlyUntil(rlo, rhi grid.Point, fn func(p grid.Point, v int64) bool) bool {
-	if len(t.pending) == 0 {
+	if t.pending.Len() == 0 {
 		return true
 	}
 	s := getQueryScratch(t.d)
 	defer putQueryScratch(s)
 	blo := make(grid.Point, t.d)
 	bhi := make(grid.Point, t.d)
-	for bi := range t.pending {
-		b := &t.pending[bi]
+	for bi := 0; bi < t.pending.Len(); bi++ {
+		lo, hi, _ := t.pending.Box(bi)
 		empty := false
 		for i := 0; i < t.d; i++ {
-			blo[i], bhi[i] = b.lo[i], b.hi[i]
-			if rlo != nil && rlo[i] > blo[i] {
-				blo[i] = rlo[i]
-			}
-			if rhi != nil && rhi[i] < bhi[i] {
-				bhi[i] = rhi[i]
+			blo[i], bhi[i] = lo[i], hi[i]
+			if rlo != nil {
+				blo[i], bhi[i] = max(blo[i], rlo[i]), min(bhi[i], rhi[i])
 			}
 			if blo[i] > bhi[i] {
 				empty = true
@@ -106,11 +105,11 @@ func (t *Tree) forEachPendingOnlyUntil(rlo, rhi grid.Point, fn func(p grid.Point
 			// Yield each pending-only cell from the first box covering
 			// it; later boxes see it as already handled.
 			for bj := 0; bj < bi; bj++ {
-				if t.pending[bj].contains(p) {
+				if t.pending.Cells(bj, p, p) != 0 {
 					return true
 				}
 			}
-			v := t.pendingAt(p)
+			v, _ := t.pending.Sum(p, p)
 			if v == 0 {
 				return true
 			}
@@ -225,13 +224,14 @@ func (t *Tree) ForEachNonZeroInRangeUntil(lo, hi grid.Point, fn func(p grid.Poin
 	ilo := t.internalize(lo)
 	ihi := t.internalize(hi)
 	logical := make(grid.Point, t.d)
-	merged := len(t.pending) != 0
+	merged := t.pending.Len() != 0
 	cont := t.forEachInRangeRec(t.ar, t.root, make(grid.Point, t.d), t.n, ilo, ihi, func(q grid.Point, v int64) bool {
 		for i := 0; i < t.d; i++ {
 			logical[i] = q[i] + t.origin[i]
 		}
 		if merged {
-			if v += t.pendingAt(logical); v == 0 {
+			pv, _ := t.pending.Sum(logical, logical)
+			if v += pv; v == 0 {
 				return true
 			}
 		}

@@ -160,11 +160,11 @@ type Tree struct {
 	pcache prefixCache
 
 	// pending holds lazily-composed range updates (RangeAdd) not yet
-	// pushed down into the overlay tree; queries fold them in on the
-	// fly and Grow/Materialize/Compact flush them (see rangeadd.go).
-	// Boxes are stored in logical coordinates, always inside the
-	// current bounds.
-	pending []pendingBox
+	// pushed down into the overlay tree; queries add them once per
+	// query box and Grow/Materialize/Compact flush them (see
+	// rangeadd.go). Boxes are stored in logical coordinates, always
+	// inside the current bounds.
+	pending grid.Boxes
 }
 
 // Epoch returns the tree's mutation epoch: it moves on every Add/Set,
@@ -358,7 +358,15 @@ func (t *Tree) internalize(p grid.Point) grid.Point {
 
 // Total returns the sum of every cell in O(2^d + pending).
 func (t *Tree) Total() int64 {
-	s := t.pendingTotal()
+	var s int64
+	if t.pending.Len() != 0 {
+		sc := getQueryScratch(t.d)
+		for i := range sc.q {
+			sc.q[i] = t.origin[i] + t.n - 1
+		}
+		s, _ = t.pending.Sum(t.origin, sc.q)
+		putQueryScratch(sc)
+	}
 	if t.root == noRec {
 		return s
 	}

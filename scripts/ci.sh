@@ -59,12 +59,14 @@ go test -run 'RangeSumBatch|BatchTelemetry|SumBatch|BatchEntryPoints|ValidationA
 # agree exactly with the classic reference — cube-level op sequences,
 # snapshot round-trips across backends, the psum fuzz seed corpus, the
 # auto promotion tests, core's op-count invariance and the differential
-# descent test against the reference recursion, and the batch engine's
-# op-count contract (a batch costs the PrefixOps of its distinct
-# cache-missing corners, on both sides of the fan-out crossover) —
-# under the race detector; the allocation guards run in the plain pass
-# above.
-go test -race -run 'Backend|Auto|OpCount|Descent|BatchMatches' -count=1 . ./internal/psum ./internal/core
+# descent test against the reference recursion, the batch engine's
+# op-count contract (a batch costs the tree-only descents of its
+# distinct cache-missing corners plus one pending term per query box
+# and pending box that meet, on both sides of the fan-out crossover),
+# and the pending composition against NaiveCube and a per-corner
+# reference (TestPendingComposePerBox) — under the race detector; the
+# allocation guards run in the plain pass above.
+go test -race -run 'Backend|Auto|OpCount|Descent|BatchMatches|PendingComposePerBox' -count=1 . ./internal/psum ./internal/core
 # Guard benchmarks (guard_bench_test.go): the blocked backend's point
 # sum and point add must each cost at most 1.4x classic's on a d = 2
 # 256² cube (a flat-layout regression fails here), and the workload
@@ -97,11 +99,12 @@ go build -o "$tmp/ddcbench" ./cmd/ddcbench
 go run ./scripts/wkldsmoke -server "$tmp/ddcserver" -bench "$tmp/ddcbench"
 # Range-update tier (DESIGN.md §14): cross-implementation equivalence of
 # box updates against the naive ground truth, the lazy pending-box
-# semantics (flush points, merged iteration, explain contributions), the
+# semantics (flush points, merged iteration, explain contributions, the
+# once-per-query-box composition and its allocation guards), the
 # partial-failure sweep (scenario rollback, aggregate compensation,
 # iterator early termination), the FuzzRangeAdd seed corpus, and the WAL
 # corruption matrix over the mixed point+range record stream.
-go test -run 'RangeAdd|Scenario|AggregateRecordCompensates|IteratorEarlyTermination' -count=1 . ./internal/core ./internal/store ./internal/cubeserver
+go test -run 'RangeAdd|PendingComposePerBox|Scenario|AggregateRecordCompensates|IteratorEarlyTermination' -count=1 . ./internal/core ./internal/store ./internal/cubeserver
 go test -run FuzzRangeAdd -count=1 .
 # Bench smoke guard: the rangeaddcost experiment fails its run if the
 # lazy path's cost is not flat (cells exactly constant, latency within

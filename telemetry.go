@@ -368,12 +368,11 @@ func (t *Telemetry) refreshDeltaDepth() {
 	t.deltaDepth.Set(depth)
 }
 
-// recordDeltaBuffered counts one mutation absorbed by a buffered front.
-func (t *Telemetry) recordDeltaBuffered(coalesced bool) {
-	t.deltaBuffered.Inc()
-	if coalesced {
-		t.deltaCoalesced.Inc()
-	}
+// recordDeltaBuffered counts n mutations absorbed by a buffered front,
+// coalesced of which merged into an existing delta entry.
+func (t *Telemetry) recordDeltaBuffered(n, coalesced int) {
+	t.deltaBuffered.Add(uint64(n))
+	t.deltaCoalesced.Add(uint64(coalesced))
 }
 
 // recordDeltaDrain counts one completed drain cycle of n entries.
