@@ -32,35 +32,23 @@ var ErrBufferedClosed = errors.New("ddc: buffered cube is closed")
 type BufferedOptions struct {
 	// MaxDelta is the delta depth (point entries + boxes) that wakes the
 	// background merger; it bounds the per-query composition cost.
-	// Default 256.
+	// Default 256. Two bounds derive from it: at 4*MaxDelta a writer
+	// joins the drain inline (backpressure) instead of letting the delta
+	// grow without bound, and MaxDelta/8 buffered boxes (at least 1;
+	// each adds O(d) to every query) also wake the merger. While a
+	// checkpoint freeze is in progress the inline drain is skipped
+	// (writers are never stalled by a streaming checkpoint), so
+	// 4*MaxDelta is a soft cap during freezes.
 	MaxDelta int
-	// HardMax is the depth at which a writer joins the drain inline
-	// (backpressure) instead of letting the delta grow without bound.
-	// Default 4*MaxDelta. While a checkpoint freeze is in progress the
-	// inline drain is skipped — writers are never stalled by a streaming
-	// checkpoint — so HardMax is a soft cap during freezes.
-	HardMax int
-	// MaxBoxes is the pending-box count that wakes the merger (each
-	// buffered box adds O(d) to every query). Default 32.
-	MaxBoxes int
 	// FlushInterval is the background merger's idle drain period.
 	// Default 1ms; negative disables the merger entirely (drains then
-	// happen only at HardMax and through explicit Drain calls).
+	// happen only at 4*MaxDelta and through explicit Drain calls).
 	FlushInterval time.Duration
 }
 
 func (o *BufferedOptions) defaults() {
 	if o.MaxDelta <= 0 {
 		o.MaxDelta = 256
-	}
-	if o.HardMax <= 0 {
-		o.HardMax = 4 * o.MaxDelta
-	}
-	if o.HardMax < o.MaxDelta {
-		o.HardMax = o.MaxDelta
-	}
-	if o.MaxBoxes <= 0 {
-		o.MaxBoxes = 32
 	}
 	if o.FlushInterval == 0 {
 		o.FlushInterval = time.Millisecond
@@ -163,6 +151,10 @@ type Buffered struct {
 	dyn   *DynamicCube // non-nil when inner is a DynamicCube
 	d     int
 	opts  BufferedOptions
+	// hardMax (4*MaxDelta, or MaxDelta where that overflows) is the
+	// depth at which a writer drains inline; maxBoxes (MaxDelta/8, at
+	// least 1) the box count that wakes the merger.
+	hardMax, maxBoxes int
 	// planned reports that a planner answers inner's batches (inner
 	// itself, or the cube a wrapper around it unwraps to), recording
 	// them and admitting their flat traces.
@@ -207,13 +199,15 @@ type Buffered struct {
 func NewBuffered(inner Cube, opts BufferedOptions) *Buffered {
 	opts.defaults()
 	b := &Buffered{
-		inner:  inner,
-		d:      len(inner.Dims()),
-		opts:   opts,
-		active: newDeltaBuf(),
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		inner:    inner,
+		d:        len(inner.Dims()),
+		opts:     opts,
+		hardMax:  max(opts.MaxDelta, 4*opts.MaxDelta),
+		maxBoxes: max(1, opts.MaxDelta/8),
+		active:   newDeltaBuf(),
+		wake:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	if dc, ok := inner.(*DynamicCube); ok {
 		b.dyn = dc
@@ -369,7 +363,7 @@ func (b *Buffered) afterWrite(writes, coalesced, depth, boxes int) {
 	if tel := globalTelemetry; tel.on() {
 		tel.recordDeltaBuffered(writes, coalesced)
 	}
-	if depth >= b.opts.HardMax && !b.frozenForCkpt.Load() {
+	if depth >= b.hardMax && !b.frozenForCkpt.Load() {
 		// Backpressure: the writer performs a drain itself so the delta
 		// depth — and with it the per-query composition cost — stays
 		// bounded. TryLock, not Lock: if a drain (or a checkpoint
@@ -378,7 +372,7 @@ func (b *Buffered) afterWrite(writes, coalesced, depth, boxes int) {
 		b.tryDrain()
 		return
 	}
-	if depth >= b.opts.MaxDelta || boxes >= b.opts.MaxBoxes {
+	if depth >= b.opts.MaxDelta || boxes >= b.maxBoxes {
 		b.wakeMerger()
 	}
 }
@@ -767,23 +761,16 @@ func (b *Buffered) merger() {
 		case <-b.wake:
 		case <-t.C:
 		}
-		for {
+		for again := true; again; {
 			b.drainOnce()
 			b.dmu.RLock()
-			again := b.active.depth() >= b.opts.MaxDelta
+			again = b.active.depth() >= b.opts.MaxDelta
 			b.dmu.RUnlock()
-			if !again {
-				return2 := false
-				select {
-				case <-b.stop:
-					return2 = true
-				default:
-				}
-				if return2 {
-					return
-				}
-				break
-			}
+		}
+		select {
+		case <-b.stop:
+			return
+		default:
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // composition path stays exercised.
 func newBufferedManual(t *testing.T, inner Cube) *Buffered {
 	t.Helper()
-	b := NewBuffered(inner, BufferedOptions{FlushInterval: -1, HardMax: 1 << 30})
+	b := NewBuffered(inner, BufferedOptions{MaxDelta: 1 << 28, FlushInterval: -1})
 	t.Cleanup(func() { b.Close() })
 	return b
 }
@@ -299,7 +299,7 @@ func TestBufferedConcurrentMergerEquivalence(t *testing.T) {
 	const opsPerWriter = 400
 	inner := mustDyn(32, 32)
 	b := NewBuffered(inner, BufferedOptions{
-		MaxDelta: 16, MaxBoxes: 4, FlushInterval: 50 * time.Microsecond,
+		MaxDelta: 16, FlushInterval: 50 * time.Microsecond,
 	})
 	type op struct {
 		lo, hi []int
@@ -554,22 +554,25 @@ func TestBufferedExplainDelta(t *testing.T) {
 }
 
 // TestBufferedHardMaxBackpressure pins the inline-drain backpressure:
-// with the merger disabled, the delta can never exceed HardMax.
+// with the merger disabled, the delta can never exceed the derived hard
+// bound of 4*MaxDelta.
 func TestBufferedHardMaxBackpressure(t *testing.T) {
+	const maxDelta = 4
+	const hardMax = 4 * maxDelta
 	b := NewBuffered(mustDyn(64, 64), BufferedOptions{
-		MaxDelta: 8, HardMax: 16, FlushInterval: -1,
+		MaxDelta: maxDelta, FlushInterval: -1,
 	})
 	defer b.Close()
 	for i := 0; i < 64; i++ {
 		if err := b.Add([]int{i % 64, i / 64}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if depth := b.DeltaDepth(); depth > 16 {
-			t.Fatalf("DeltaDepth = %d, exceeds HardMax 16", depth)
+		if depth := b.DeltaDepth(); depth > hardMax {
+			t.Fatalf("DeltaDepth = %d, exceeds 4*MaxDelta = %d", depth, hardMax)
 		}
 	}
 	if st := b.Stats(); st.Drains == 0 {
-		t.Fatal("no inline drains despite exceeding HardMax")
+		t.Fatal("no inline drains despite exceeding 4*MaxDelta")
 	}
 }
 
@@ -642,7 +645,7 @@ func TestBufferedTelemetryResetDuringDrain(t *testing.T) {
 		gate:    make(chan struct{}),
 		entered: make(chan struct{}, 1),
 	}
-	b := NewBuffered(inner, BufferedOptions{FlushInterval: -1, HardMax: 1 << 30})
+	b := NewBuffered(inner, BufferedOptions{MaxDelta: 1 << 28, FlushInterval: -1})
 	for i := 0; i < 5; i++ {
 		if err := b.Add([]int{i, i}, 1); err != nil {
 			t.Fatal(err)

@@ -1,18 +1,19 @@
 // Command ddcbench regenerates the paper's tables and figures and the
-// repository's measured-scaling and ablation experiments, replays
-// workload captures, and runs the mixed-workload suite. The system's
-// end-to-end numbers come from perfbench (perfbench/run.py) and its
-// component timings from the Go benchmarks (go test -bench).
+// repository's measured-scaling and ablation experiments, and replays
+// workload captures. The system's end-to-end numbers come from
+// perfbench (perfbench/run.py) and its component timings from the Go
+// benchmarks (go test -bench); the mixed-workload cells (direct vs
+// buffered write fronts under concurrent range sums, the checkpoint
+// stall, and the CI guard over both) are Go benchmarks too:
+//
+//	go test -run - -bench 'Mixed(Checkpoint)?$' -cpu 1,2,4 -benchtime 2x .
+//	go test -run - -bench MixedGuard -benchtime 1x .
 //
 // Usage:
 //
 //	ddcbench -list           list experiment ids
 //	ddcbench <id> [<id>...]  run selected experiments
 //	ddcbench all             run everything (the EXPERIMENTS.md inputs)
-//	ddcbench -mixed out.json [-procs 1,2,4,max] [-smoke]
-//	                         run the mixed-workload suite (direct vs
-//	                         buffered write fronts, checkpoint stall,
-//	                         GOMAXPROCS sweep), write JSON
 //	ddcbench -replay cap.bin [-replay-speed X] [-backend B] [-json out.json]
 //	                         replay a DDCWKLD2 workload capture
 //	ddcbench -version        print build identity and exit
@@ -33,9 +34,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csvOut := flag.Bool("csv", false, "emit CSV series instead of tables (figure1 only)")
 	jsonOut := flag.String("json", "", "with -replay, write the JSON report to `file` instead of stdout")
-	smoke := flag.Bool("smoke", false, "with -mixed, run only the fast guarded tier (CI smoke)")
-	mixed := flag.String("mixed", "", "run the mixed-workload suite (direct vs buffered fronts) and write JSON results to `file`")
-	procs := flag.String("procs", "1,2,4,max", "with -mixed, comma-separated GOMAXPROCS sweep values (\"max\" = NumCPU)")
 	version := flag.Bool("version", false, "print version, Go toolchain and backend, then exit")
 	replay := flag.String("replay", "", "replay the DDCWKLD2 (or DDCWKLD1) workload capture in `file` (see FORMATS.md)")
 	replaySpeed := flag.Float64("replay-speed", 0, "replay pacing: 0 = as fast as possible, 1 = recorded rate, 2 = twice as fast")
@@ -62,13 +60,6 @@ func main() {
 	}
 	if *replay != "" {
 		if err := runReplay(*replay, *backend, *replaySpeed, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "ddcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *mixed != "" {
-		if err := runMixedSuite(*mixed, *procs, *smoke); err != nil {
 			fmt.Fprintln(os.Stderr, "ddcbench:", err)
 			os.Exit(1)
 		}

@@ -8,9 +8,9 @@ import (
 	"ddc"
 )
 
-// The -replay and -mixed modes write their results as one
-// machine-readable JSON document each (perfReport); -replay's replay
-// block is what scripts/wkldsmoke compares across backends.
+// The -replay mode writes its result as one machine-readable JSON
+// document (perfReport); its replay block is what scripts/wkldsmoke
+// compares across backends.
 
 // benchResult is one measured configuration.
 type benchResult struct {
@@ -44,10 +44,6 @@ type perfReport struct {
 	// order-sensitive answer checksums the capture→replay equivalence
 	// check compares across backends.
 	Replay *replaySummary `json:"replay,omitempty"`
-	// Mixed summarises a `-mixed` run: sustained updates/sec and tail
-	// latencies for the synchronous vs buffered write fronts, the
-	// checkpoint-stall ratio, and the GOMAXPROCS scaling rows.
-	Mixed *mixedSummary `json:"mixed,omitempty"`
 }
 
 // writeReport marshals and writes the report.
@@ -60,10 +56,6 @@ func writeReport(path string, report *perfReport) error {
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		return err
 	}
-	n := len(report.Results)
-	if report.Mixed != nil {
-		n += len(report.Mixed.Rows)
-	}
-	fmt.Printf("wrote %d results to %s (GOMAXPROCS=%d)\n", n, path, report.GoMaxProcs)
+	fmt.Printf("wrote %d results to %s (GOMAXPROCS=%d)\n", len(report.Results), path, report.GoMaxProcs)
 	return nil
 }

@@ -124,7 +124,6 @@ func main() {
 			st.Dir(), rec.SnapshotSeq, rec.Segments, rec.Records,
 			map[bool]string{true: ", torn tail dropped", false: ""}[rec.TornTail])
 		if *buffered {
-			opts.Buffered = st.Buffered()
 			log.Print("buffered write front enabled (delta + background merger)")
 		}
 		handler = cubeserver.NewWithPersistence(st.Cube(), st, opts)

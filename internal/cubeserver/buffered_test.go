@@ -21,13 +21,13 @@ func newBufferedServer(t *testing.T, dir string) (*httptest.Server, *store.Store
 	st, err := store.Open(dir, store.Options{
 		Dims:     []int{8, 8},
 		Buffered: true,
-		Buffer:   ddc.BufferedOptions{FlushInterval: -1, HardMax: 1 << 30},
+		Buffer:   ddc.BufferedOptions{MaxDelta: 1 << 28, FlushInterval: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	srv := httptest.NewServer(NewWithPersistence(st.Cube(), st, Options{Buffered: st.Buffered()}))
+	srv := httptest.NewServer(NewWithPersistence(st.Cube(), st, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, st
 }

@@ -149,14 +149,12 @@ type Options struct {
 	// Logger receives structured log records (slow requests with trace
 	// IDs, 5xx errors). Defaults to slog.Default().
 	Logger *slog.Logger
-	// Buffered, when non-nil, is the delta write front sitting between
-	// the persistence layer and the cube (store.Open with
-	// Options.Buffered). Point and range reads compose tree + delta
-	// through it (read-your-writes under sustained ingest); tree-walk
-	// endpoints (/v1/scan, /v1/snapshot) drain it first so the streamed
-	// tree is exact.
-	Buffered *ddc.Buffered
 }
+
+// bufferedPersistence is the optional delta-front surface of a
+// Persistence: internal/store.Store in Options.Buffered mode returns
+// its non-nil write front (nil otherwise).
+type bufferedPersistence interface{ Buffered() *ddc.Buffered }
 
 // New returns a server over the cube. If wal is non-nil, every mutation
 // is appended (and flushed) to it before the response is sent, making
@@ -177,6 +175,11 @@ func NewWithOptions(c *ddc.DynamicCube, wal *ddc.WAL, opts Options) *Server {
 // NewWithPersistence serves a cube backed by a full persistence engine
 // (typically internal/store.Store): mutations are applied and flushed
 // through it, and POST /v1/checkpoint snapshots and rotates the log.
+// When p exposes a non-nil Buffered() delta write front (a store opened
+// with Options.Buffered), point and range reads compose tree + delta
+// through it (read-your-writes under sustained ingest), and tree-walk
+// endpoints (/v1/scan, /v1/snapshot) drain it first so the streamed
+// tree is exact.
 // Construction enables the process-wide telemetry registry (served at
 // GET /metrics) and applies the trace sampling and slow-query
 // thresholds.
@@ -197,12 +200,14 @@ func NewWithPersistence(c *ddc.DynamicCube, p Persistence, opts Options) *Server
 	if logger == nil {
 		logger = slog.Default()
 	}
-	s := &Server{c: c, buf: opts.Buffered, read: c, persist: p, target: c, mux: http.NewServeMux(), log: logger}
+	s := &Server{c: c, read: c, persist: p, target: c, mux: http.NewServeMux(), log: logger}
 	if p != nil {
 		s.target = p
 	}
-	if opts.Buffered != nil {
-		s.read = opts.Buffered
+	if bp, ok := p.(bufferedPersistence); ok {
+		if buf := bp.Buffered(); buf != nil {
+			s.buf, s.read = buf, buf
+		}
 	}
 	s.mux.HandleFunc("/v1/add", s.handleAdd)
 	s.mux.HandleFunc("/v1/add/range", s.handleRangeAdd)
@@ -283,23 +288,30 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"trace_id", sc.TraceID(), "path", r.URL.Path,
 			"status", sw.status, "duration", d)
 	}
-	sampled, slow := tel.ShouldTrace(d)
-	if sampled || slow {
-		if slow {
-			s.log.Warn("slow request",
-				"trace_id", sc.TraceID(), "path", r.URL.Path,
-				"duration", d, "spans", sc.Len())
-		}
-		// Retain the span tree only when the request recorded spans
-		// beyond the root (batch stages, per-slab fan-out, WAL commits):
-		// single-span requests are already covered by the cube layer's
-		// flat trace, and a second ring entry would halve its reach.
-		if sc.Len() > 1 {
-			tel.RecordTrace(ddc.QueryTrace{
-				Op: "http " + r.URL.Path, Start: start, DurationNs: d.Nanoseconds(),
-				Slow: slow, TraceID: sc.TraceID(), Spans: sc.Tree(),
-			})
-		}
+	// Retain the span tree only when the request recorded spans beyond
+	// the root (batch stages, per-slab fan-out, WAL commits):
+	// single-span requests are already covered by the cube layer's flat
+	// trace, and a second ring entry would halve its reach. The sampler
+	// is consulted only for a request this layer would retain: the cube
+	// layer already drew it for a single-span read, and a second draw
+	// per request would skip every other sampled read.
+	retain := sc.Len() > 1
+	var sampled, slow bool
+	if retain {
+		sampled, slow = tel.ShouldTrace(d)
+	} else if th := tel.SlowQueryThreshold(); th > 0 && d >= th {
+		slow = true
+	}
+	if slow {
+		s.log.Warn("slow request",
+			"trace_id", sc.TraceID(), "path", r.URL.Path,
+			"duration", d, "spans", sc.Len())
+	}
+	if retain && (sampled || slow) {
+		tel.RecordTrace(ddc.QueryTrace{
+			Op: "http " + r.URL.Path, Start: start, DurationNs: d.Nanoseconds(),
+			Slow: slow, TraceID: sc.TraceID(), Spans: sc.Tree(),
+		})
 	}
 	obs.PutSpanContext(sc)
 }

@@ -2,6 +2,7 @@ package cubeserver
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -279,5 +280,34 @@ func TestBuildInfoExposed(t *testing.T) {
 	body := string(raw)
 	if !strings.Contains(body, `ddc_build_info{version="`+ddc.Version+`"`) {
 		t.Fatalf("/metrics missing ddc_build_info for %s", ddc.Version)
+	}
+}
+
+// TestServedReadSampleRate: a served single-span read draws the trace
+// sampler once, in the cube layer, so at sample rate N exactly 1 in N
+// GET /v1/sum requests leaves a rangesum trace in the ring.
+func TestServedReadSampleRate(t *testing.T) {
+	const reads = 24
+	for _, rate := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("rate%d", rate), func(t *testing.T) {
+			resetTelemetry(t)
+			srv := newTestServer(t, nil, mustCube(t, []int{32, 32}, ddc.Options{}))
+			tel := ddc.GlobalTelemetry()
+			tel.SetTraceSampling(rate)
+			for i := 0; i < reads; i++ {
+				if resp, _ := get(t, srv.URL+"/v1/sum?range=0,0:31,31"); resp.StatusCode != 200 {
+					t.Fatalf("sum: %d", resp.StatusCode)
+				}
+			}
+			n := 0
+			for _, tr := range tel.Traces() {
+				if tr.Op == "rangesum" {
+					n++
+				}
+			}
+			if want := reads / rate; n != want {
+				t.Fatalf("%d reads at sample rate %d left %d rangesum traces, want %d", reads, rate, n, want)
+			}
+		})
 	}
 }

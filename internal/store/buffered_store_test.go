@@ -25,7 +25,7 @@ func bufOpts(b ddc.BufferedOptions) Options {
 // manualBuf keeps every delta undrained until the store itself drains
 // (checkpoint, close): the widest possible WAL-appended-but-not-drained
 // window.
-var manualBuf = ddc.BufferedOptions{FlushInterval: -1, HardMax: 1 << 30}
+var manualBuf = ddc.BufferedOptions{MaxDelta: 1 << 28, FlushInterval: -1}
 
 // eagerBuf drains constantly, racing drains against everything else.
 var eagerBuf = ddc.BufferedOptions{MaxDelta: 2, FlushInterval: 50 * time.Microsecond}

@@ -8,12 +8,12 @@
 # backend and workload-profiler guard benchmarks, the mixed-workload
 # tier for the buffered write front (DESIGN.md §15), the end-to-end
 # benchmark module's own checks plus one answer-checked smoke run, and
-# last the mixed bench smoke.
+# last the mixed-workload guard benchmark.
 set -eux
 
 cd "$(dirname "$0")/.."
 
-# Built binaries and reports go to one private directory, so concurrent
+# Built binaries go to one private directory, so concurrent
 # runs never clobber each other; it is removed however the script exits.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -114,7 +114,7 @@ go test -run FuzzRangeAdd -count=1 .
 "$tmp/ddcbench" rangeaddcost
 # Mixed-workload tier (DESIGN.md §15): the buffered write front's
 # read-your-writes equivalence, drain/freeze interleavings and the
-# store crash matrix under the race detector. The mixed bench smoke
+# store crash matrix under the race detector. The mixed-workload guard
 # runs last (below).
 go test -race -run 'Buffered|StoreBuffered|DeltaDrain' -count=1 . ./internal/store ./internal/cubeserver
 # Benchmark module (perfbench/, a nested Go module outside ./...): vet
@@ -124,10 +124,11 @@ go test -race -run 'Buffered|StoreBuffered|DeltaDrain' -count=1 . ./internal/sto
 # is checked here.
 (cd perfbench && go vet ./... && go test ./...)
 python3 perfbench/run.py --workload olap-read --seed 1 --seconds 1 --trace 0
-# Mixed bench smoke, last because it stays red until the buffered delta
-# is bounded and set -e would stop the tiers above at it: its internal guard
-# fails the run unless the buffered front sustains >=2x the synchronous
-# path's updates/sec at no worse than 1.25x query p99, with a
-# concurrent checkpoint inflating write p99 by at most 1.5x (full suite
-# writes BENCH_pr10.json).
-"$tmp/ddcbench" -mixed "$tmp/mixed.json" -smoke
+# Mixed-workload guard (mixed_bench_test.go), last because it stays red
+# until the buffered delta is bounded (see ROADMAP.md) and set -e would
+# stop the tiers above at it: BenchmarkMixedGuard fails unless the
+# buffered front sustains >=2x the synchronous path's writes/s at no
+# worse than 1.25x query p99, with a concurrent checkpoint inflating
+# write p99 by at most 1.5x, and each of its cells checks the cube's
+# total against the acknowledged writes.
+go test -run - -bench MixedGuard -benchtime 1x .

@@ -443,8 +443,8 @@ func distFrom(s obs.HistStats) DistStats {
 }
 
 // TelemetrySnapshot is a point-in-time copy of every telemetry metric,
-// JSON-ready (cmd/ddcbench embeds it in its -replay and -mixed reports
-// so they carry visit counts alongside ns/op).
+// JSON-ready (cmd/ddcbench embeds it in its -replay report so it
+// carries visit counts alongside ns/op).
 type TelemetrySnapshot struct {
 	Enabled bool `json:"enabled"`
 
