@@ -62,12 +62,42 @@ func sequentialRangeSumBatch(c Cube, queries []RangeQuery) ([]int64, error) {
 }
 
 // batchPlanner is a cube or wrapper whose batches run through one
-// planned engine, RangeSumBatchTrace: DynamicCube, ShardedCube and
-// Buffered. A nil span context is the engine's untraced path; the
-// untraced entry points (RangeSumBatch, RangeSumBatchStats and
+// planned engine, RangeSumBatchTrace: DynamicCube and ShardedCube, and
+// the Buffered, Synchronized and WAL wrappers over any Cube. A nil
+// span context is the engine's untraced path; the untraced entry
+// points (RangeSumBatch, RangeSumBatchStats and
 // DynamicCube.RangeSumBatchInto) are derived from it.
 type batchPlanner interface {
 	RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error)
+}
+
+// batchTrace answers a batch through c's engine when c plans batches.
+// Otherwise c is a baseline: its RangeSumBatch (a RangeSum loop that
+// records nothing) answers, and an untraced call that the sampler or
+// the slow-query threshold admits lands in the trace ring here. The
+// wrappers answer their batches through it, so a live span reaches the
+// planner beneath any stack of them and a batch is admitted once.
+func batchTrace(c Cube, queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
+	if p, ok := c.(batchPlanner); ok {
+		return p.RangeSumBatchTrace(queries, out, sc, parent)
+	}
+	if len(out) != len(queries) {
+		return BatchStats{}, nil, fmt.Errorf("ddc: batch out has %d slots for %d queries", len(out), len(queries))
+	}
+	tel := globalTelemetry
+	var start time.Time
+	if sc == nil && tel.on() {
+		start = time.Now()
+	}
+	vals, err := c.RangeSumBatch(queries)
+	if err != nil {
+		return BatchStats{}, nil, err
+	}
+	copy(out, vals)
+	if !start.IsZero() {
+		tel.admitQuery(&cubeQuery{op: qOpBatchRange, start: start, batch: queries}, time.Since(start))
+	}
+	return BatchStats{Queries: len(queries)}, nil, nil
 }
 
 // plannedBatch runs p's engine untraced into a fresh result slice.
@@ -151,11 +181,11 @@ func (c *DynamicCube) TreeLevels() int { return c.t.Levels() }
 // results into out (len(out) must equal len(queries)). A nil sc is the
 // untraced path: with telemetry disabled it costs one atomic load over
 // the core engine, and with telemetry enabled a sampled or slow batch
-// lands in the trace ring as a flat trace. A live sc records one child
+// lands in the trace ring as a span tree. A live sc records one child
 // span per pipeline stage (plan, dedup, execute, gather) under parent
 // and returns the per-level outer-tree visit profile of the descents
 // the batch actually paid for (levels[0] is the root level); the
-// caller owns that trace, so no flat trace is admitted. Telemetry is
+// caller owns that trace, so the ring admits none here. Telemetry is
 // recorded either way when enabled. The traced path allocates; it
 // exists for /v1/explain and traced requests, never for the
 // steady-state hot path.
@@ -172,11 +202,7 @@ func (c *DynamicCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 	if err != nil {
 		return BatchStats(st), nil, err
 	}
-	var src workloadDomain
-	if !c.noProfile {
-		src = c
-	}
-	tel.batchDone(src, queries, c.be, 0, start, ops, BatchStats(st), sc == nil)
+	tel.queryDone(&cubeQuery{op: qOpBatchRange, be: c.be, start: start, batch: queries, ops: ops, stats: BatchStats(st), src: c.profiled(), sc: sc})
 	return BatchStats(st), levels, nil
 }
 

@@ -155,10 +155,6 @@ type Buffered struct {
 	// depth at which a writer drains inline; maxBoxes (MaxDelta/8, at
 	// least 1) the box count that wakes the merger.
 	hardMax, maxBoxes int
-	// planned reports that a planner answers inner's batches (inner
-	// itself, or the cube a wrapper around it unwraps to), recording
-	// them and admitting their flat traces.
-	planned bool
 
 	autoGrow bool
 	bounds   atomic.Pointer[bufBounds]
@@ -212,14 +208,6 @@ func NewBuffered(inner Cube, opts BufferedOptions) *Buffered {
 	if dc, ok := inner.(*DynamicCube); ok {
 		b.dyn = dc
 		b.autoGrow = dc.Options().AutoGrow
-	}
-	for c := inner; !b.planned; {
-		_, b.planned = c.(batchPlanner)
-		w, ok := c.(interface{ Unwrap() Cube })
-		if !ok {
-			break
-		}
-		c = w.Unwrap()
 	}
 	b.refreshBounds()
 	globalTelemetry.registerDeltaSource(b, b.DeltaDepth)
@@ -593,18 +581,13 @@ func (b *Buffered) RangeSumBatchStats(queries []RangeQuery) ([]int64, BatchStats
 
 // RangeSumBatchTrace is the front's one batch engine: the inner cube's
 // batched engine (corner dedup, prefix cache, parallel descents)
-// answers the tree part, recording its stage spans and per-level visit
-// profile into a live sc as usual, then each answer is completed with
-// the query's delta contribution. An inner cube without a planner
-// answers through its RangeSumBatch (a wrapper's lock around a planner,
-// or a baseline's RangeSum loop); when no planner sits underneath, the
-// front admits the untraced call's flat trace itself.
+// answers the tree part through batchTrace (which checks out's
+// length), recording its stage spans and per-level visit profile into
+// a live sc as usual, then each answer is completed with the query's
+// delta contribution.
 func (b *Buffered) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
-	if len(out) != len(queries) {
-		return BatchStats{}, nil, fmt.Errorf("ddc: batch out has %d slots for %d queries", len(out), len(queries))
-	}
 	b.applyMu.RLock()
-	st, levels, err := b.innerBatch(queries, out, sc, parent)
+	st, levels, err := batchTrace(b.inner, queries, out, sc, parent)
 	if err != nil {
 		b.applyMu.RUnlock()
 		return BatchStats{}, nil, err
@@ -621,34 +604,6 @@ func (b *Buffered) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs
 	b.applyMu.RUnlock()
 	composeDone(terms)
 	return st, levels, nil
-}
-
-// innerBatch answers the tree part of a batch into out; the caller
-// holds applyMu shared.
-func (b *Buffered) innerBatch(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
-	if p, ok := b.inner.(batchPlanner); ok {
-		return p.RangeSumBatchTrace(queries, out, sc, parent)
-	}
-	tel := globalTelemetry
-	var start time.Time
-	if sc == nil && !b.planned && tel.on() {
-		start = time.Now()
-	}
-	vals, err := b.inner.RangeSumBatch(queries)
-	if err != nil {
-		return BatchStats{}, nil, err
-	}
-	copy(out, vals)
-	if !start.IsZero() {
-		d := time.Since(start)
-		if sampled, slow := tel.shouldTrace(d); sampled || slow {
-			tel.trace(QueryTrace{
-				Op: "rangesum_batch", Start: start, DurationNs: d.Nanoseconds(),
-				Batch: len(queries), Slow: slow,
-			})
-		}
-	}
-	return BatchStats{Queries: len(queries)}, nil, nil
 }
 
 // Total implements Cube.
@@ -953,3 +908,5 @@ func (b *Buffered) DeltaDepth() int {
 	}
 	return n
 }
+
+func cloneInts(p []int) []int { return append([]int(nil), p...) }

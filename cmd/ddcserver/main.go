@@ -58,7 +58,7 @@ func main() {
 	autogrow := flag.Bool("autogrow", false, "grow the cube for out-of-range updates")
 	backend := flag.String("backend", "", "prefix-sum backend for row-sum groups: auto (default: each group switches from classic to blocked once half its universe is populated), classic (paper-exact B_c tree), blocked, blockfenwick; snapshots/WAL are backend-agnostic, so any data loads under any backend")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	traceSample := flag.Int("trace-sample", 0, "record a structured trace for 1 in N queries (0 = off)")
+	traceSample := flag.Int("trace-sample", 0, "retain the span tree of 1 in N queries (0 = off)")
 	slowQuery := flag.Duration("slow-query", 0, "log queries at or above this duration to /v1/trace (0 = off)")
 	sloObjective := flag.Duration("slo-objective", 0, "latency objective for the SLO burn-rate counters in /metrics (0 = off)")
 	version := flag.Bool("version", false, "print version, Go toolchain and backend, then exit")
@@ -225,10 +225,13 @@ func flushObservability(logger *slog.Logger) {
 	traces := tel.Traces()
 	capacity, dropped := tel.TraceRingStats()
 	for _, tr := range traces {
+		// Every retained trace is a span tree; its root's attributes
+		// carry a cube-layer query's box and operation counts.
+		root := tr.Spans[0]
 		logger.Info("retained trace",
 			"seq", tr.Seq, "op", tr.Op, "duration_ns", tr.DurationNs,
 			"slow", tr.Slow, "trace_id", tr.TraceID,
-			"node_visits", tr.NodeVisits, "spans", len(tr.Spans))
+			"root", root.Name, "attrs", root.Attrs, "children", len(root.Children))
 	}
 	snap := tel.Snapshot()
 	logger.Info("final telemetry snapshot",

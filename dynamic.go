@@ -263,9 +263,9 @@ func (c *DynamicCube) FlushPending() { c.t.FlushPending() }
 func (c *DynamicCube) PendingBoxes() int { return c.t.PendingBoxes() }
 
 // Prefix implements Cube. With telemetry enabled the query's latency,
-// node visits and contribution kinds are recorded, and sampled or slow
-// queries land in the trace ring (sampled traces re-walk the descent
-// for per-level statistics).
+// node visits and contribution kinds are recorded, and a sampled or
+// slow query lands in the trace ring as a span tree (a sampled one
+// re-walks the descent for per-level spans).
 func (c *DynamicCube) Prefix(p []int) int64 {
 	tel := globalTelemetry
 	if !tel.on() {
@@ -273,24 +273,7 @@ func (c *DynamicCube) Prefix(p []int) int64 {
 	}
 	start := time.Now()
 	v, ops := c.t.PrefixOps(grid.Point(p))
-	d := time.Since(start)
-	tel.recordQuery(qOpPrefix, c.be, d, ops)
-	if !c.noProfile {
-		tel.workloadPoint(c, p)
-	}
-	if sampled, slow := tel.shouldTrace(d); sampled || slow {
-		tr := QueryTrace{
-			Op: "prefix", Start: start, DurationNs: d.Nanoseconds(),
-			Point: cloneInts(p), NodeVisits: ops.NodeVisits,
-			QueryCells: ops.QueryCells, Contributions: contribMap(ops),
-			Slow: slow,
-		}
-		if sampled {
-			_, parts := c.t.ExplainPrefix(grid.Point(p))
-			tr.Levels = traceLevels(parts)
-		}
-		tel.trace(tr)
-	}
+	tel.queryDone(&cubeQuery{op: qOpPrefix, be: c.be, start: start, lo: p, ops: ops, src: c.profiled(), tree: c.t})
 	return v
 }
 
@@ -303,22 +286,18 @@ func (c *DynamicCube) RangeSum(lo, hi []int) (int64, error) {
 	}
 	start := time.Now()
 	v, ops, err := c.t.RangeSumOps(grid.Point(lo), grid.Point(hi))
-	d := time.Since(start)
-	tel.recordQuery(qOpRange, c.be, d, ops)
-	if err == nil {
-		if !c.noProfile {
-			tel.workloadRange(c, lo, hi)
-		}
-		if sampled, slow := tel.shouldTrace(d); sampled || slow {
-			tel.trace(QueryTrace{
-				Op: "rangesum", Start: start, DurationNs: d.Nanoseconds(),
-				Lo: cloneInts(lo), Hi: cloneInts(hi),
-				NodeVisits: ops.NodeVisits, QueryCells: ops.QueryCells,
-				Contributions: contribMap(ops), Slow: slow,
-			})
-		}
-	}
+	tel.queryDone(&cubeQuery{op: qOpRange, be: c.be, start: start, err: err, lo: lo, hi: hi, ops: ops, src: c.profiled()})
 	return v, err
+}
+
+// profiled returns the cube as the workload profile's domain, or nil
+// when the cube answers for a wrapper that profiles in its own
+// coordinates.
+func (c *DynamicCube) profiled() workloadDomain {
+	if c.noProfile {
+		return nil
+	}
+	return c
 }
 
 // Total implements Cube.

@@ -114,6 +114,8 @@ type Server struct {
 	mux     *http.ServeMux
 	log     *slog.Logger
 	ready   atomic.Bool // construction (post-recovery) complete
+	// maxBody bounds a batch request's body; see decodeQueries.
+	maxBody int64
 
 	// version counts successful mutations; the derived-stats cache below
 	// is recomputed only when it moves (NonZeroCells/StorageCells/Total
@@ -136,8 +138,8 @@ type cachedStats struct {
 type Options struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
-	// TraceSample, when > 0, makes 1 in N queries record a structured
-	// trace (GET /v1/trace).
+	// TraceSample, when > 0, makes 1 in N queries retain their span
+	// tree (GET /v1/trace).
 	TraceSample int
 	// SlowQuery, when > 0, records every query at or above the
 	// threshold into the trace ring and the slow-query counter.
@@ -200,7 +202,8 @@ func NewWithPersistence(c *ddc.DynamicCube, p Persistence, opts Options) *Server
 	if logger == nil {
 		logger = slog.Default()
 	}
-	s := &Server{c: c, read: c, persist: p, target: c, mux: http.NewServeMux(), log: logger}
+	s := &Server{c: c, read: c, persist: p, target: c, mux: http.NewServeMux(), log: logger,
+		maxBody: maxBatchQueries * int64(128+64*len(c.Dims()))}
 	if p != nil {
 		s.target = p
 	}
@@ -276,7 +279,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if id, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
 		sc.SetTraceID(id)
 	}
-	root := sc.Start("http "+r.URL.Path, obs.NoSpan)
+	name := "http " + r.URL.Path
+	root := sc.Start(name, obs.NoSpan)
 	w.Header().Set("traceparent", sc.Traceparent(root))
 	sw := &statusWriter{ResponseWriter: w}
 	start := time.Now()
@@ -288,17 +292,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"trace_id", sc.TraceID(), "path", r.URL.Path,
 			"status", sw.status, "duration", d)
 	}
-	// Retain the span tree only when the request recorded spans beyond
-	// the root (batch stages, per-slab fan-out, WAL commits):
-	// single-span requests are already covered by the cube layer's flat
-	// trace, and a second ring entry would halve its reach. The sampler
-	// is consulted only for a request this layer would retain: the cube
-	// layer already drew it for a single-span read, and a second draw
-	// per request would skip every other sampled read.
-	retain := sc.Len() > 1
-	var sampled, slow bool
-	if retain {
-		sampled, slow = tel.ShouldTrace(d)
+	// Offer the span tree only when the request recorded spans beyond
+	// the root (batch stages, per-slab fan-out, WAL commits): a
+	// single-span request is already covered by the cube layer's trace,
+	// and a second ring entry would halve its reach. The sampler is
+	// drawn only for a request this layer would retain: the cube layer
+	// already drew it for a single-span read, and a second draw per
+	// request would skip every other sampled read.
+	var slow bool
+	if sc.Len() > 1 {
+		slow = tel.AdmitSpans(name, start, d, sc)
 	} else if th := tel.SlowQueryThreshold(); th > 0 && d >= th {
 		slow = true
 	}
@@ -306,12 +309,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.log.Warn("slow request",
 			"trace_id", sc.TraceID(), "path", r.URL.Path,
 			"duration", d, "spans", sc.Len())
-	}
-	if retain && (sampled || slow) {
-		tel.RecordTrace(ddc.QueryTrace{
-			Op: "http " + r.URL.Path, Start: start, DurationNs: d.Nanoseconds(),
-			Slow: slow, TraceID: sc.TraceID(), Spans: sc.Tree(),
-		})
 	}
 	obs.PutSpanContext(sc)
 }
@@ -572,36 +569,45 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int64{"sum": sum})
 }
 
-// maxBatchQueries caps POST /v1/sum/batch so a single request cannot
-// monopolise the read path.
+// maxBatchQueries caps POST /v1/sum/batch and POST /v1/explain so a
+// single request cannot monopolise the read path.
 const maxBatchQueries = 4096
+
+// decodeQueries decodes a batch body ({"queries":[{"lo":..,"hi":..}]};
+// the keys match RangeQuery's fields). The body is bounded by what
+// maxBatchQueries boxes of the cube's d coordinates can take — 32 bytes
+// per coordinate and 128 per box leave room for any int and for
+// whitespace — so an oversized batch is refused before it is decoded.
+func (s *Server) decodeQueries(w http.ResponseWriter, r *http.Request) ([]ddc.RangeQuery, bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	var req struct{ Queries []ddc.RangeQuery }
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, "bad body: %v", err)
+		return nil, false
+	}
+	if len(req.Queries) == 0 {
+		writeErr(w, http.StatusBadRequest, "queries required")
+		return nil, false
+	}
+	if len(req.Queries) > maxBatchQueries {
+		writeErr(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(req.Queries), maxBatchQueries)
+		return nil, false
+	}
+	return req.Queries, true
+}
 
 func (s *Server) handleSumBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req struct {
-		Queries []struct {
-			Lo []int `json:"lo"`
-			Hi []int `json:"hi"`
-		} `json:"queries"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+	queries, ok := s.decodeQueries(w, r)
+	if !ok {
 		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, "queries required")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeErr(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(req.Queries), maxBatchQueries)
-		return
-	}
-	queries := make([]ddc.RangeQuery, len(req.Queries))
-	for i, q := range req.Queries {
-		queries[i] = ddc.RangeQuery{Lo: q.Lo, Hi: q.Hi}
 	}
 	// A traced request's planner records its stage spans (plan, dedup,
 	// execute, gather) into the request's trace; an untraced one has a
@@ -812,27 +818,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // middleware trace) the handler builds its own span context, so EXPLAIN
 // always answers with a span tree.
 func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Queries []struct {
-			Lo []int `json:"lo"`
-			Hi []int `json:"hi"`
-		} `json:"queries"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+	queries, ok := s.decodeQueries(w, r)
+	if !ok {
 		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, "queries required")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeErr(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(req.Queries), maxBatchQueries)
-		return
-	}
-	queries := make([]ddc.RangeQuery, len(req.Queries))
-	for i, q := range req.Queries {
-		queries[i] = ddc.RangeQuery{Lo: q.Lo, Hi: q.Hi}
 	}
 	sc, parent := obs.SpanFromContext(r.Context())
 	if sc == nil {

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"ddc"
+	"ddc/internal/obs"
 )
 
 // brokenPersistence is a Persistence whose health check fails — the
@@ -309,5 +311,80 @@ func TestServedReadSampleRate(t *testing.T) {
 				t.Fatalf("%d reads at sample rate %d left %d rangesum traces, want %d", reads, rate, n, want)
 			}
 		})
+	}
+}
+
+// TestTraceRingOneShape: under sampling 1 a served single-span read
+// leaves the cube layer's rangesum span tree (its root carries the box
+// and counts), a multi-span batch request leaves the request's span
+// tree rooted at "http <path>" with the planner's stage spans beneath,
+// and every retained trace has a non-empty span tree.
+func TestTraceRingOneShape(t *testing.T) {
+	resetTelemetry(t)
+	srv := newTestServer(t, nil, mustCube(t, []int{32, 32}, ddc.Options{}))
+	tel := ddc.GlobalTelemetry()
+	tel.SetTraceSampling(1)
+	post(t, srv.URL+"/v1/add", `{"point":[3,4],"delta":5}`)
+	get(t, srv.URL+"/v1/sum?range=1,2:30,31")
+	post(t, srv.URL+"/v1/sum/batch", `{"queries":[{"lo":[0,0],"hi":[7,7]},{"lo":[2,3],"hi":[31,31]}]}`)
+
+	byOp := map[string]obs.SpanSnapshot{}
+	for _, tr := range tel.Traces() {
+		if len(tr.Spans) == 0 {
+			t.Fatalf("trace %q has no spans", tr.Op)
+		}
+		byOp[tr.Op] = tr.Spans[0]
+	}
+	sum, ok := byOp["rangesum"]
+	if !ok || sum.Name != "rangesum" || sum.Attrs["lo.0"] != 1 || sum.Attrs["hi.1"] != 31 || sum.Attrs["node_visits"] == 0 {
+		t.Errorf("rangesum trace root %+v (found %v)", sum, ok)
+	}
+	batch, ok := byOp["http /v1/sum/batch"]
+	if !ok || batch.Name != "http /v1/sum/batch" {
+		t.Fatalf("batch request trace root %+v (found %v)", batch, ok)
+	}
+	stages := map[string]bool{}
+	for _, c := range batch.Children {
+		stages[c.Name] = true
+	}
+	for _, stage := range []string{"batch.plan", "batch.dedup", "batch.execute", "batch.gather"} {
+		if !stages[stage] {
+			t.Errorf("batch request trace missing stage %q: %+v", stage, batch.Children)
+		}
+	}
+	if _, ok := byOp["rangesum_batch"]; ok {
+		t.Error("a traced request's batch was also admitted by the cube layer")
+	}
+}
+
+// TestBatchBodyBounded posts a 262,144-query body (6.3 MB) to both
+// batch endpoints: each must refuse it having read only its byte bound,
+// not decode every box and then count them.
+func TestBatchBodyBounded(t *testing.T) {
+	resetTelemetry(t)
+	s := New(mustCube(t, []int{64, 64}, ddc.Options{}), nil)
+	var b strings.Builder
+	b.WriteString(`{"queries":[`)
+	for i := 0; i < 1<<18; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`{"lo":[1,2],"hi":[3,4]}`)
+	}
+	b.WriteString(`]}`)
+	body := b.String()
+	for _, path := range []string{"/v1/sum/batch", "/v1/explain"} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, rec.Code)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+			t.Errorf("%s: refusing a %d-byte body allocated %d bytes", path, len(body), alloc)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 // Command obssmoke is the CI observability smoke test: it boots a real
-// ddcserver binary, waits for readiness, loads a few cells, runs a
-// span-traced batch EXPLAIN and validates the response shape — the
-// trace identity, the plan, the Theorem 1 visit budget and the stage
-// span tree — then checks the health, trace-ring and build-info
-// surfaces and shuts the server down gracefully. Standard library only.
+// ddcserver binary with every query traced, waits for readiness, loads
+// a few cells, runs a span-traced batch EXPLAIN and validates the
+// response shape — the trace identity, the plan, the Theorem 1 visit
+// budget and the stage span tree — then checks the health, trace-ring,
+// build-info and workload surfaces, requires every retained trace to be
+// a span tree, and shuts the server down gracefully. Standard library
+// only.
 //
 //	go build -o /tmp/ddcserver ./cmd/ddcserver
 //	go run ./scripts/obssmoke -server /tmp/ddcserver
@@ -52,6 +54,7 @@ func run(server string, timeout time.Duration) error {
 		"-dims", "64,64",
 		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
 		"-slow-query", "1ms",
+		"-trace-sample", "1",
 		"-slo-objective", "100ms")
 	cmd.Stderr = os.Stderr
 	cmd.Stdout = os.Stderr
@@ -70,6 +73,9 @@ func run(server string, timeout time.Duration) error {
 		return err
 	}
 	if err := checkWorkload(base); err != nil {
+		return err
+	}
+	if err := checkTraces(base); err != nil {
 		return err
 	}
 
@@ -295,8 +301,8 @@ func checkSurfaces(base string) error {
 
 // checkWorkload validates the GET /v1/workload query-shape profile after
 // the traffic checkExplain drove: the profiler must be on, counting
-// reads and writes, publishing a square heatmap with read/write planes,
-// and recommending a backend; no capture was attached for this run.
+// reads and writes and publishing a square heatmap with read/write
+// planes; no capture was attached for this run.
 func checkWorkload(base string) error {
 	// One plain range sum so the read side is counted regardless of how
 	// earlier traffic was routed.
@@ -358,6 +364,46 @@ func checkWorkload(base string) error {
 	}
 	if wl.Capture == nil || wl.Capture.Attached == nil || *wl.Capture.Attached {
 		return fmt.Errorf("/v1/workload capture block wrong: %+v", wl.Capture)
+	}
+	return nil
+}
+
+// checkTraces validates the one GET /v1/trace shape after the traffic
+// above, all of it sampled: every retained trace has an op and a
+// non-empty span tree; a cube-layer trace's root span is named by its
+// op (the /v1/sum read leaves a rangesum trace), and a request trace's
+// root is "http <path>" (the EXPLAIN request leaves one).
+func checkTraces(base string) error {
+	var ring struct {
+		Traces []struct {
+			Op    string     `json:"op"`
+			Spans []spanNode `json:"spans"`
+		} `json:"traces"`
+	}
+	resp, err := http.Get(base + "/v1/trace")
+	if err != nil {
+		return err
+	}
+	err = json.NewDecoder(resp.Body).Decode(&ring)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		return fmt.Errorf("/v1/trace: status %d (err %v)", resp.StatusCode, err)
+	}
+	seen := map[string]bool{}
+	for i, tr := range ring.Traces {
+		cubeOp := tr.Op == "prefix" || tr.Op == "rangesum" || tr.Op == "rangesum_batch"
+		if !cubeOp && !strings.HasPrefix(tr.Op, "http /") {
+			return fmt.Errorf("/v1/trace entry %d: op %q is neither a cube op nor a request", i, tr.Op)
+		}
+		if len(tr.Spans) == 0 || tr.Spans[0].Name != tr.Op {
+			return fmt.Errorf("/v1/trace entry %d: op %q needs a span tree rooted at %q: %+v", i, tr.Op, tr.Op, tr.Spans)
+		}
+		seen[tr.Op] = true
+	}
+	for _, op := range []string{"rangesum", "http /v1/explain"} {
+		if !seen[op] {
+			return fmt.Errorf("/v1/trace has no %q trace among %d", op, len(ring.Traces))
+		}
 	}
 	return nil
 }

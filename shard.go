@@ -501,18 +501,7 @@ func (s *ShardedCube) Prefix(p []int) int64 {
 		atomic.AddInt64(&total, v)
 	})
 	if on {
-		d := time.Since(start)
-		tel.recordFanout(last + 1)
-		tel.recordQuery(qOpPrefix, s.be(), d, merged)
-		tel.workloadPoint(s, p)
-		if sampled, slow := tel.shouldTrace(d); sampled || slow {
-			tel.trace(QueryTrace{
-				Op: "prefix", Start: start, DurationNs: d.Nanoseconds(),
-				Point: cloneInts(p), Shards: last + 1,
-				NodeVisits: merged.NodeVisits, QueryCells: merged.QueryCells,
-				Contributions: contribMap(merged), Slow: slow,
-			})
-		}
+		tel.queryDone(&cubeQuery{op: qOpPrefix, be: s.be(), start: start, lo: p, shards: last + 1, ops: merged, src: s})
 	}
 	return total
 }
@@ -543,18 +532,7 @@ func (s *ShardedCube) RangeSum(lo, hi []int) (int64, error) {
 		return err
 	})
 	if on {
-		d := time.Since(start)
-		tel.recordFanout(width)
-		tel.recordQuery(qOpRange, s.be(), d, merged)
-		tel.workloadRange(s, lo, hi)
-		if sampled, slow := tel.shouldTrace(d); sampled || slow {
-			tel.trace(QueryTrace{
-				Op: "rangesum", Start: start, DurationNs: d.Nanoseconds(),
-				Lo: cloneInts(lo), Hi: cloneInts(hi), Shards: width,
-				NodeVisits: merged.NodeVisits, QueryCells: merged.QueryCells,
-				Contributions: contribMap(merged), Slow: slow,
-			})
-		}
+		tel.queryDone(&cubeQuery{op: qOpRange, be: s.be(), start: start, err: err, lo: lo, hi: hi, shards: width, ops: merged, src: s})
 	}
 	if err != nil {
 		return 0, err
@@ -693,8 +671,8 @@ func (s *ShardedCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 		}
 	}
 	if on {
-		tel.recordFanout(len(work))
-		tel.batchDone(s, queries, s.be(), len(work), start, merged.AtomicSnapshot(), stats, sc == nil)
+		tel.queryDone(&cubeQuery{op: qOpBatchRange, be: s.be(), start: start, batch: queries, shards: len(work),
+			ops: merged.AtomicSnapshot(), stats: stats, src: s, sc: sc})
 	}
 	return stats, levels, nil
 }

@@ -98,37 +98,54 @@ func TestValidationAgreement(t *testing.T) {
 
 // TestBatchEntryPointsAgree calls every batch entry point of each
 // planner on the same batch, from a cold prefix cache each time:
-// RangeSumBatch, RangeSumBatchStats, RangeSumBatchInto (DynamicCube),
-// and RangeSumBatchTrace with a nil and with a live span context. All
-// must return the same sums, BatchStats and Ops() deltas. Under trace
-// sampling 1 every untraced (nil span) call admits exactly one flat
-// trace to the ring; the live-span call admits none, its span tree
-// belonging to the caller.
+// RangeSumBatch, RangeSumBatchStats (where the planner has it),
+// RangeSumBatchInto (DynamicCube), and RangeSumBatchTrace with a nil
+// and with a live span context. All must return the same sums,
+// BatchStats and Ops() deltas. Under trace sampling 1 every untraced
+// (nil span) call admits exactly one span tree to the ring; the
+// live-span call admits none, its span tree belonging to the caller,
+// and through every wrapper stack it reaches the planner's stage spans
+// when a DynamicCube or ShardedCube answers underneath.
 func TestBatchEntryPointsAgree(t *testing.T) {
 	dims := []int{16, 16}
 	r := workload.NewRNG(11)
 	points := workload.Uniform(r, dims, 60, 20)
 	queries := randomBoxes(r, []int{0, 0}, []int{15, 15}, 12)
-	front := func(inner Cube) Cube {
+	front := func(inner Cube, err error) (Cube, error) {
+		if err != nil {
+			return nil, err
+		}
 		b := NewBuffered(inner, BufferedOptions{FlushInterval: -1})
 		t.Cleanup(func() { b.Close() })
-		return b
+		return b, nil
 	}
-	planners := map[string]func() (Cube, error){
-		"dynamic": func() (Cube, error) { return NewDynamic(dims) },
-		"sharded": func() (Cube, error) { return NewSharded(dims, 3, Options{}) },
-		"buffered-ddc": func() (Cube, error) {
-			c, err := NewDynamic(dims)
-			return front(c), err
-		},
-		"buffered-fenwick": func() (Cube, error) {
-			c, err := NewFenwick(dims)
-			return front(c), err
-		},
+	locked := func(inner Cube, err error) (Cube, error) { return NewSynchronized(inner), err }
+	wal := func(inner Cube, err error) (Cube, error) {
+		if err != nil {
+			return nil, err
+		}
+		return NewWAL(inner, new(bytes.Buffer))
 	}
-	for name, mk := range planners {
+	dynamic := func() (Cube, error) { return NewDynamic(dims) }
+	fenwick := func() (Cube, error) { return NewFenwick(dims) }
+	planners := map[string]struct {
+		mk     func() (Cube, error)
+		staged bool // a core planner answers underneath and records stage spans
+	}{
+		"dynamic":               {dynamic, true},
+		"sharded":               {func() (Cube, error) { return NewSharded(dims, 3, Options{}) }, true},
+		"buffered-ddc":          {func() (Cube, error) { return front(dynamic()) }, true},
+		"buffered-fenwick":      {func() (Cube, error) { return front(fenwick()) }, false},
+		"synchronized-ddc":      {func() (Cube, error) { return locked(dynamic()) }, true},
+		"synchronized-fenwick":  {func() (Cube, error) { return locked(fenwick()) }, false},
+		"wal-ddc":               {func() (Cube, error) { return wal(dynamic()) }, true},
+		"buffered-synchronized": {func() (Cube, error) { return front(locked(dynamic())) }, true},
+		"buffered-wal-fenwick":  {func() (Cube, error) { return front(wal(fenwick())) }, false},
+		"synchronized-wal-ddc":  {func() (Cube, error) { return locked(wal(dynamic())) }, true},
+	}
+	for name, pl := range planners {
 		t.Run(name, func(t *testing.T) {
-			c, err := mk()
+			c, err := pl.mk()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,9 +166,9 @@ func TestBatchEntryPointsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var tree any = c
-			if b, ok := c.(*Buffered); ok {
-				tree = b.Unwrap()
+			tree := c
+			for w, ok := tree.(interface{ Unwrap() Cube }); ok; w, ok = tree.(interface{ Unwrap() Cube }) {
+				tree = w.Unwrap()
 			}
 			tel := withTelemetry(t)
 			tel.SetTraceSampling(1)
@@ -164,6 +181,7 @@ func TestBatchEntryPointsAgree(t *testing.T) {
 				ops    OpCounts
 				traces int
 			}
+			live := obs.NewSpanContext(256)
 			trace := func(sc *obs.SpanContext) ([]int64, *BatchStats, error) {
 				out := make([]int64, len(queries))
 				st, _, err := c.(batchPlanner).RangeSumBatchTrace(queries, out, sc, sc.Start("test", obs.NoSpan))
@@ -174,16 +192,18 @@ func TestBatchEntryPointsAgree(t *testing.T) {
 					sums, err := c.RangeSumBatch(queries)
 					return sums, nil, err
 				}},
-				{name: "RangeSumBatchStats", call: func() ([]int64, *BatchStats, error) {
-					sums, st, err := c.(interface {
-						RangeSumBatchStats([]RangeQuery) ([]int64, BatchStats, error)
-					}).RangeSumBatchStats(queries)
-					return sums, &st, err
-				}},
 				{name: "RangeSumBatchTrace(nil)", call: func() ([]int64, *BatchStats, error) { return trace(nil) }},
 				{name: "RangeSumBatchTrace(live)", live: true, call: func() ([]int64, *BatchStats, error) {
-					return trace(obs.NewSpanContext(256))
+					return trace(live)
 				}},
+			}
+			if sc, ok := c.(interface {
+				RangeSumBatchStats([]RangeQuery) ([]int64, BatchStats, error)
+			}); ok {
+				entries = append(entries, &entry{name: "RangeSumBatchStats", call: func() ([]int64, *BatchStats, error) {
+					sums, st, err := sc.RangeSumBatchStats(queries)
+					return sums, &st, err
+				}})
 			}
 			if dc, ok := c.(*DynamicCube); ok {
 				entries = append(entries, &entry{name: "RangeSumBatchInto", call: func() ([]int64, *BatchStats, error) {
@@ -229,6 +249,9 @@ func TestBatchEntryPointsAgree(t *testing.T) {
 			}
 			if ref.Queries != len(queries) {
 				t.Errorf("stats count %d queries, want %d", ref.Queries, len(queries))
+			}
+			if staged := live.Len() > 1; staged != pl.staged {
+				t.Errorf("live span recorded %d spans; want planner stage spans: %v", live.Len(), pl.staged)
 			}
 		})
 	}

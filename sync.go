@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"ddc/internal/logrec"
+	"ddc/internal/obs"
 )
 
 // Synchronized wraps a Cube with a sync.RWMutex, making it safe for
@@ -115,15 +116,21 @@ func (s *Synchronized) RangeSum(lo, hi []int) (int64, error) {
 	return s.c.RangeSum(lo, hi)
 }
 
-// RangeSumBatch implements Cube, answering the whole batch under one
-// lock acquisition (shared when the wrapped cube tolerates concurrent
-// readers). The wrapped cube's own batched engine — corner dedup,
-// versioned prefix cache, parallel descents for DynamicCube and
-// ShardedCube — runs underneath.
+// RangeSumBatch implements Cube through RangeSumBatchTrace.
 func (s *Synchronized) RangeSumBatch(queries []RangeQuery) ([]int64, error) {
+	sums, _, err := plannedBatch(s, queries)
+	return sums, err
+}
+
+// RangeSumBatchTrace answers the whole batch under one lock acquisition
+// (shared when the wrapped cube tolerates concurrent readers) through
+// the wrapped cube's own batched engine — corner dedup, versioned
+// prefix cache, parallel descents for DynamicCube and ShardedCube —
+// and a live sc reaches that engine's stage spans.
+func (s *Synchronized) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
 	s.rlock()
 	defer s.runlock()
-	return s.c.RangeSumBatch(queries)
+	return batchTrace(s.c, queries, out, sc, parent)
 }
 
 // Total implements Cube.

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ddc/internal/core"
 	"ddc/internal/cube"
+	"ddc/internal/grid"
 	"ddc/internal/logrec"
 	"ddc/internal/obs"
 	"ddc/internal/psum"
@@ -24,10 +26,11 @@ import (
 //
 // Telemetry is disabled by default; every instrumentation site gates on
 // a single atomic flag load, so the disabled fast path stays free of
-// locks and allocations (BenchmarkTelemetryOverhead guards the <2%
-// budget). Enable it process-wide with GlobalTelemetry().Enable() —
-// internal/cubeserver does so on construction and serves the registry
-// at GET /metrics and the trace ring at GET /v1/trace.
+// locks and allocations (TestTracingDisabledAllocs pins 0 allocs/op;
+// BenchmarkTelemetryOverhead reports the time, ungated). Enable it
+// process-wide with GlobalTelemetry().Enable() — internal/cubeserver
+// does so on construction and serves the registry at GET /metrics and
+// the trace ring at GET /v1/trace.
 //
 // All counters tally the paper's operation cost model: node visits and
 // cells touched per query/update (Theorems 1-2's O(log^d n) claims are
@@ -389,10 +392,9 @@ func (t *Telemetry) recordDeltaCompose(n int) {
 	t.contrib[int(core.KindDelta)].Add(uint64(n))
 }
 
-// SetTraceSampling makes 1 in n queries produce a full structured trace
-// (with the per-level contribution walk) into the trace ring; n <= 0
-// disables sampling. Sampled traces re-walk the query's descent, so
-// keep n large on hot servers.
+// SetTraceSampling makes 1 in n queries retain their span tree in the
+// trace ring; n <= 0 disables sampling. A sampled prefix re-walks its
+// descent for per-level spans, so keep n large on hot servers.
 func (t *Telemetry) SetTraceSampling(n int) { t.sampler.SetRate(n) }
 
 // TraceSampling returns the current 1-in-N trace sampling rate.
@@ -593,101 +595,31 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 // ---------------------------------------------------------------------
 // Tracing
 
-// QueryTrace is one structured per-query trace: the query box, the
-// operation counts the call actually performed, optional per-level
-// contribution statistics (sampled traces re-walk the descent the way
-// ExplainPrefix does), and the measured duration. Traces land in a
-// fixed-capacity ring readable via Telemetry.Traces and the server's
-// GET /v1/trace.
+// QueryTrace is one retained trace: an operation the sampler or the
+// slow-query threshold admitted, and its span tree. A cube-layer trace
+// (op prefix, rangesum or rangesum_batch) has one root span named by
+// its op, whose attributes carry the query box, the operation counts
+// and the per-kind contributions; a sampled prefix adds one "level"
+// child per tree level. A request trace (op "http <path>") carries the
+// request's span tree and trace ID. Traces land in a fixed-capacity
+// ring readable via Telemetry.Traces and the server's GET /v1/trace.
 type QueryTrace struct {
 	Seq        uint64    `json:"seq"`
 	Op         string    `json:"op"`
 	Start      time.Time `json:"start"`
 	DurationNs int64     `json:"duration_ns"`
 
-	// Point is set for prefix queries; Lo/Hi for range sums.
-	Point []int `json:"point,omitempty"`
-	Lo    []int `json:"lo,omitempty"`
-	Hi    []int `json:"hi,omitempty"`
-
-	// Shards is the fan-out width for sharded queries (0 otherwise).
-	Shards int `json:"shards,omitempty"`
-
-	// Batch is the number of logical queries a batched call answered
-	// (0 for single queries).
-	Batch int `json:"batch,omitempty"`
-
-	NodeVisits    uint64            `json:"node_visits"`
-	QueryCells    uint64            `json:"query_cells"`
-	Contributions map[string]uint64 `json:"contributions,omitempty"`
-
-	// Levels is the per-level contribution walk (sampled traces only).
-	Levels []TraceLevel `json:"levels,omitempty"`
-
 	// Slow marks traces admitted by the slow-query threshold; the rest
 	// were admitted by sampling.
 	Slow bool `json:"slow"`
 
-	// TraceID and Spans carry the request's span tree when the query ran
-	// under span tracing (the server's traced requests and /v1/explain);
-	// flat-trace recorders leave them empty.
 	TraceID string             `json:"trace_id,omitempty"`
-	Spans   []obs.SpanSnapshot `json:"spans,omitempty"`
+	Spans   []obs.SpanSnapshot `json:"spans"`
 }
 
-// TraceLevel aggregates one tree level of a sampled trace's descent.
-type TraceLevel struct {
-	Level         int            `json:"level"`
-	Contributions int            `json:"contributions"`
-	Value         int64          `json:"value"`
-	Kinds         map[string]int `json:"kinds,omitempty"`
-}
-
-// contribMap converts per-kind counts to a labelled map, omitting
-// zeroes.
-func contribMap(ops cube.OpCounter) map[string]uint64 {
-	var m map[string]uint64
-	for i, n := range ops.Contribs {
-		if n != 0 {
-			if m == nil {
-				m = map[string]uint64{}
-			}
-			m[kindNames[i]] += n
-		}
-	}
-	return m
-}
-
-// traceLevels folds ExplainPrefix contributions into per-level stats.
-func traceLevels(parts []core.Contribution) []TraceLevel {
-	if len(parts) == 0 {
-		return nil
-	}
-	maxLevel := 0
-	for _, p := range parts {
-		if p.Level > maxLevel {
-			maxLevel = p.Level
-		}
-	}
-	levels := make([]TraceLevel, maxLevel+1)
-	for i := range levels {
-		levels[i].Level = i
-	}
-	for _, p := range parts {
-		lv := &levels[p.Level]
-		lv.Contributions++
-		lv.Value += p.Value
-		if lv.Kinds == nil {
-			lv.Kinds = map[string]int{}
-		}
-		lv.Kinds[p.Kind.String()]++
-	}
-	return levels
-}
-
-// shouldTrace decides whether a query of duration d produces a trace:
-// sampled traces carry the deep per-level walk, slow traces always
-// land in the ring.
+// shouldTrace decides whether an operation of duration d is retained:
+// sampled admits it (and a prefix's per-level walk), slow admits it by
+// the slow-query threshold.
 func (t *Telemetry) shouldTrace(d time.Duration) (sampled, slow bool) {
 	sampled = t.sampler.Sample()
 	if ns := t.slowNs.Load(); ns > 0 && d.Nanoseconds() >= ns {
@@ -705,17 +637,142 @@ func (t *Telemetry) trace(tr QueryTrace) {
 	t.traces.Add(tr)
 }
 
-// ShouldTrace is the exported admission check for callers outside this
-// package (the HTTP layer): sampled admits the deep per-level walk,
-// slow admits by the slow-query threshold.
-func (t *Telemetry) ShouldTrace(d time.Duration) (sampled, slow bool) {
-	return t.shouldTrace(d)
+// AdmitSpans offers one finished operation's span trace to the ring:
+// when the sampler or the slow-query threshold admits an operation of
+// duration d, sc's span tree is retained under op with sc's trace ID.
+// It reports whether the slow-query threshold admitted it. The caller
+// keeps sc; the retained tree is a copy.
+func (t *Telemetry) AdmitSpans(op string, start time.Time, d time.Duration, sc *obs.SpanContext) (slow bool) {
+	sampled, slow := t.shouldTrace(d)
+	if sampled || slow {
+		t.trace(QueryTrace{
+			Op: op, Start: start, DurationNs: d.Nanoseconds(), Slow: slow,
+			TraceID: sc.TraceID(), Spans: sc.Tree(),
+		})
+	}
+	return slow
 }
 
-// RecordTrace retains a caller-built trace (typically one carrying a
-// span tree) in the ring, stamping its sequence number and counting it
-// as slow when marked.
-func (t *Telemetry) RecordTrace(tr QueryTrace) { t.trace(tr) }
+// cubeQuery is one finished cube-layer query, as queryDone records it.
+type cubeQuery struct {
+	op    int // qOpPrefix, qOpRange or qOpBatchRange
+	be    int // psum.Index of the cube's backend
+	start time.Time
+	err   error // a failed query is counted, not profiled or traced
+
+	// lo and hi are a range sum's box; a prefix sets lo to its point.
+	lo, hi []int
+	batch  []RangeQuery
+	shards int // fan-out width; 0 when unsharded
+	ops    cube.OpCounter
+	stats  BatchStats
+
+	// src is the profiled domain (nil skips the workload profile); tree,
+	// when set, re-walks a sampled prefix for its level spans.
+	src  workloadDomain
+	tree *core.Tree
+	// sc is a batch caller's live span context: its owner retains that
+	// trace, so none is admitted here.
+	sc *obs.SpanContext
+}
+
+// queryDone is the one recording call of every cube-layer query: its
+// metrics, its workload profile and, when admitted, its trace. Called
+// only when telemetry is enabled.
+func (t *Telemetry) queryDone(q *cubeQuery) {
+	d := time.Since(q.start)
+	if q.shards > 0 {
+		t.recordFanout(q.shards)
+	}
+	if q.op == qOpBatchRange {
+		t.recordBatch(len(q.batch), q.be, d, q.ops, q.stats)
+	} else {
+		t.recordQuery(q.op, q.be, d, q.ops)
+	}
+	if q.err != nil {
+		return
+	}
+	if q.src != nil {
+		switch q.op {
+		case qOpPrefix:
+			t.workloadPoint(q.src, q.lo)
+		case qOpRange:
+			t.workloadRange(q.src, q.lo, q.hi)
+		default:
+			t.workloadBatch(q.src, q.batch)
+		}
+	}
+	if q.sc == nil {
+		t.admitQuery(q, d)
+	}
+}
+
+// admitQuery builds and retains the span tree of a cube-layer query of
+// duration d when the sampler or the slow-query threshold admits it:
+// one root span named by the op, carrying the box ("p.i" for a prefix,
+// "lo.i"/"hi.i" for a range sum), node_visits, query_cells, shards and
+// batch when nonzero, and a count per nonzero contribution kind. A
+// sampled prefix with a tree adds its level spans. Only admitted
+// queries reach the builder, so it may allocate.
+func (t *Telemetry) admitQuery(q *cubeQuery, d time.Duration) {
+	sampled, slow := t.shouldTrace(d)
+	if !sampled && !slow {
+		return
+	}
+	attrs := map[string]int64{
+		"node_visits": int64(q.ops.NodeVisits),
+		"query_cells": int64(q.ops.QueryCells),
+	}
+	box := func(key string, p []int) {
+		for i, v := range p {
+			attrs[key+strconv.Itoa(i)] = int64(v)
+		}
+	}
+	if q.op == qOpPrefix {
+		box("p.", q.lo)
+	} else {
+		box("lo.", q.lo)
+		box("hi.", q.hi)
+	}
+	nonZero := func(key string, n int64) {
+		if n != 0 {
+			attrs[key] = n
+		}
+	}
+	nonZero("shards", int64(q.shards))
+	nonZero("batch", int64(len(q.batch)))
+	for i, n := range q.ops.Contribs {
+		nonZero(kindNames[i], int64(n))
+	}
+	root := obs.SpanSnapshot{Parent: int32(obs.NoSpan), Name: qOpNames[q.op], DurationNs: d.Nanoseconds(), Attrs: attrs}
+	if sampled && q.tree != nil {
+		_, parts := q.tree.ExplainPrefix(grid.Point(q.lo))
+		root.Children = levelSpans(parts)
+	}
+	t.trace(QueryTrace{
+		Op: root.Name, Start: q.start, DurationNs: root.DurationNs,
+		Slow: slow, Spans: []obs.SpanSnapshot{root},
+	})
+}
+
+// levelSpans folds a prefix's contribution walk into one "level" child
+// of the root span per tree level: the level, its contribution count,
+// their summed value and a count per contribution kind.
+func levelSpans(parts []core.Contribution) []obs.SpanSnapshot {
+	var levels []obs.SpanSnapshot
+	for _, p := range parts {
+		for len(levels) <= p.Level {
+			n := len(levels)
+			levels = append(levels, obs.SpanSnapshot{ID: int32(n + 1), Name: "level",
+				Attrs: map[string]int64{"level": int64(n), "contributions": 0, "value": 0}})
+		}
+		a := levels[p.Level].Attrs
+		a["contributions"]++
+		a["value"] += p.Value
+		a[kindNames[p.Kind]]++
+	}
+	return levels
+}
 
 // TraceRingStats reports the trace ring's capacity and how many traces
 // have been evicted by newer ones since the last reset — so consumers
@@ -758,31 +815,6 @@ func (t *Telemetry) recordBatch(n, be int, d time.Duration, ops cube.OpCounter, 
 	t.queryCells.Add(ops.QueryCells)
 	for i, c := range ops.Contribs {
 		t.contrib[i].Add(c)
-	}
-}
-
-// batchDone records one planner batch call that began at start: the
-// batch metrics, the workload profile on src (nil when the caller's
-// coordinates are not the profiled domain) and, for an untraced call,
-// the flat trace the sampler or the slow-query threshold admits. A
-// traced call's span tree is retained by its owner instead, so a batch
-// lands in the ring once.
-func (t *Telemetry) batchDone(src workloadDomain, queries []RangeQuery, be, shards int, start time.Time, ops cube.OpCounter, st BatchStats, untraced bool) {
-	d := time.Since(start)
-	t.recordBatch(len(queries), be, d, ops, st)
-	if src != nil {
-		t.workloadBatch(src, queries)
-	}
-	if !untraced {
-		return
-	}
-	if sampled, slow := t.shouldTrace(d); sampled || slow {
-		t.trace(QueryTrace{
-			Op: "rangesum_batch", Start: start, DurationNs: d.Nanoseconds(),
-			Batch: len(queries), Shards: shards, NodeVisits: ops.NodeVisits,
-			QueryCells: ops.QueryCells, Contributions: contribMap(ops),
-			Slow: slow,
-		})
 	}
 }
 
@@ -845,8 +877,6 @@ func (t *Telemetry) RecordStoreCheckpoint(d time.Duration) {
 	t.storeCheckpoints.Inc()
 	t.storeCheckpointLat.Observe(uint64(d.Nanoseconds()))
 }
-
-func cloneInts(p []int) []int { return append([]int(nil), p...) }
 
 // ---------------------------------------------------------------------
 // Workload profiling and capture

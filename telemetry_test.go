@@ -150,21 +150,25 @@ func TestTelemetryTraceSamplingAndSlowLog(t *testing.T) {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
 	tr := traces[0]
-	if tr.Op != "prefix" {
-		t.Errorf("trace op = %q, want prefix", tr.Op)
+	if tr.Op != "prefix" || len(tr.Spans) != 1 || tr.Spans[0].Name != "prefix" {
+		t.Fatalf("trace op %q, spans %+v: want one prefix root span", tr.Op, tr.Spans)
 	}
-	if len(tr.Point) != 2 || tr.Point[0] != 40 || tr.Point[1] != 40 {
-		t.Errorf("trace point = %v, want [40 40]", tr.Point)
+	root := tr.Spans[0]
+	if root.Attrs["p.0"] != 40 || root.Attrs["p.1"] != 40 {
+		t.Errorf("trace root attrs %v, want p.0 = p.1 = 40", root.Attrs)
 	}
-	if tr.NodeVisits == 0 {
+	if root.Attrs["node_visits"] == 0 {
 		t.Error("trace has no node visits")
 	}
-	if len(tr.Levels) == 0 {
+	if len(root.Children) == 0 {
 		t.Error("sampled trace should carry the per-level walk")
 	}
 	var sum int64
-	for _, lv := range tr.Levels {
-		sum += lv.Value
+	for i, lv := range root.Children {
+		if lv.Name != "level" || lv.Attrs["level"] != int64(i) {
+			t.Errorf("level span %d = %+v", i, lv)
+		}
+		sum += lv.Attrs["value"]
 	}
 	if sum != want {
 		t.Errorf("trace level values sum to %d, want the query answer %d", sum, want)

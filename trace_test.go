@@ -261,3 +261,90 @@ func TestTracingDisabledAllocs(t *testing.T) {
 		t.Errorf("tracing-disabled Get allocates %.1f/op", a)
 	}
 }
+
+// TestAdmittedTracesAreSpanTrees admits one trace per cube-layer op
+// under sampling 1 and checks its shape: a single root span named by
+// the op, whose attributes carry the box, the operation counts, the
+// fan-out width and batch size when nonzero, and the contribution kinds;
+// a sampled prefix adds level spans whose values sum to the answer.
+func TestAdmittedTracesAreSpanTrees(t *testing.T) {
+	tel := withTelemetry(t)
+	tel.SetTraceSampling(1)
+	dims := []int{16, 16}
+	dyn, err := BuildDynamic(dims, seqVals(256), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := BuildSharded(dims, seqVals(256), 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := NewFenwick(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := NewBuffered(fw, BufferedOptions{FlushInterval: -1})
+	defer buf.Close()
+	if err := buf.Add([]int{3, 4}, 9); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := []int{1, 2}, []int{13, 14}
+	batch := []RangeQuery{{Lo: lo, Hi: hi}, {Lo: []int{0, 0}, Hi: []int{15, 15}}}
+	var prefix int64
+	box := map[string]int64{"lo.0": 1, "lo.1": 2, "hi.0": 13, "hi.1": 14}
+	for _, tc := range []struct {
+		name   string
+		run    func() error
+		op     string
+		attrs  map[string]int64
+		counts bool // a planner counted node visits and contributions
+	}{
+		{"dynamic prefix", func() error { prefix = dyn.Prefix(hi); return nil }, "prefix",
+			map[string]int64{"p.0": 13, "p.1": 14}, true},
+		{"dynamic rangesum", func() error { _, err := dyn.RangeSum(lo, hi); return err }, "rangesum", box, true},
+		{"dynamic batch", func() error { _, err := dyn.RangeSumBatch(batch); return err }, "rangesum_batch",
+			map[string]int64{"batch": 2}, true},
+		{"sharded rangesum", func() error { _, err := sh.RangeSum(lo, hi); return err }, "rangesum",
+			map[string]int64{"lo.0": 1, "lo.1": 2, "hi.0": 13, "hi.1": 14, "shards": 4}, true},
+		{"sharded batch", func() error { _, err := sh.RangeSumBatch(batch); return err }, "rangesum_batch",
+			map[string]int64{"batch": 2, "shards": 4}, true},
+		{"buffered fenwick batch", func() error { _, err := buf.RangeSumBatch(batch); return err }, "rangesum_batch",
+			map[string]int64{"batch": 2}, false},
+	} {
+		tel.Reset()
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		traces := tel.Traces()
+		if len(traces) != 1 || traces[0].Op != tc.op || len(traces[0].Spans) != 1 {
+			t.Fatalf("%s: traces %+v, want one %s span tree", tc.name, traces, tc.op)
+		}
+		root := traces[0].Spans[0]
+		if root.Name != tc.op || root.Parent != -1 || root.DurationNs != traces[0].DurationNs {
+			t.Errorf("%s: root span %+v", tc.name, root)
+		}
+		for k, v := range tc.attrs {
+			if root.Attrs[k] != v {
+				t.Errorf("%s: root attr %s = %d, want %d (attrs %v)", tc.name, k, root.Attrs[k], v, root.Attrs)
+			}
+		}
+		var kinds int64
+		for _, k := range kindNames {
+			kinds += root.Attrs[k]
+		}
+		_, counted := root.Attrs["query_cells"]
+		if !counted || (root.Attrs["node_visits"] > 0) != tc.counts || (kinds > 0) != tc.counts {
+			t.Errorf("%s: root attrs %v, want counted node visits and kinds: %v", tc.name, root.Attrs, tc.counts)
+		}
+		if tc.op != "prefix" {
+			continue
+		}
+		var sum int64
+		for _, lv := range root.Children {
+			sum += lv.Attrs["value"]
+		}
+		if len(root.Children) == 0 || sum != prefix {
+			t.Errorf("%s: %d level spans sum to %d, want the answer %d", tc.name, len(root.Children), sum, prefix)
+		}
+	}
+}

@@ -243,10 +243,16 @@ func (l *WAL) Prefix(p []int) int64 { return l.c.Prefix(p) }
 // RangeSum implements Cube.
 func (l *WAL) RangeSum(lo, hi []int) (int64, error) { return l.c.RangeSum(lo, hi) }
 
-// RangeSumBatch implements Cube, delegating to the inner cube's batched
-// engine (reads are never logged).
+// RangeSumBatch implements Cube through RangeSumBatchTrace.
 func (l *WAL) RangeSumBatch(queries []RangeQuery) ([]int64, error) {
-	return l.c.RangeSumBatch(queries)
+	sums, _, err := plannedBatch(l, queries)
+	return sums, err
+}
+
+// RangeSumBatchTrace answers a batch through the inner cube's batched
+// engine (reads are never logged); a live sc reaches its stage spans.
+func (l *WAL) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs.SpanContext, parent obs.SpanID) (BatchStats, []uint64, error) {
+	return batchTrace(l.c, queries, out, sc, parent)
 }
 
 // Total implements Cube.
