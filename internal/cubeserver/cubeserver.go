@@ -116,6 +116,9 @@ type Server struct {
 	ready   atomic.Bool // construction (post-recovery) complete
 	// maxBody bounds a batch request's body; see decodeQueries.
 	maxBody int64
+	// spanNames maps each mounted path to its root span name, so a
+	// request's trace name is not built per request.
+	spanNames map[string]string
 
 	// version counts successful mutations; the derived-stats cache below
 	// is recomputed only when it moves (NonZeroCells/StorageCells/Total
@@ -212,23 +215,33 @@ func NewWithPersistence(c *ddc.DynamicCube, p Persistence, opts Options) *Server
 			s.buf, s.read = buf, buf
 		}
 	}
-	s.mux.HandleFunc("/v1/add", s.handleAdd)
-	s.mux.HandleFunc("/v1/add/range", s.handleRangeAdd)
-	s.mux.HandleFunc("/v1/set", s.handleSet)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("/v1/get", s.handleGet)
-	s.mux.HandleFunc("/v1/sum", s.handleSum)
-	s.mux.HandleFunc("/v1/sum/batch", s.handleSumBatch)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/scan", s.handleScan)
-	s.mux.HandleFunc("/v1/explain", s.handleExplain)
-	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("/v1/trace", s.handleTrace)
-	s.mux.HandleFunc("/v1/workload", s.handleWorkload)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	routes := []struct {
+		path string
+		h    http.HandlerFunc
+	}{
+		{"/v1/add", s.handleAdd},
+		{"/v1/add/range", s.handleRangeAdd},
+		{"/v1/set", s.handleSet},
+		{"/v1/batch", s.handleBatch},
+		{"/v1/checkpoint", s.handleCheckpoint},
+		{"/v1/get", s.handleGet},
+		{"/v1/sum", s.handleSum},
+		{"/v1/sum/batch", s.handleSumBatch},
+		{"/v1/stats", s.handleStats},
+		{"/v1/scan", s.handleScan},
+		{"/v1/explain", s.handleExplain},
+		{"/v1/snapshot", s.handleSnapshot},
+		{"/v1/trace", s.handleTrace},
+		{"/v1/workload", s.handleWorkload},
+		{"/healthz", s.handleHealthz},
+		{"/readyz", s.handleReadyz},
+		{"/metrics", s.handleMetrics},
+	}
+	s.spanNames = make(map[string]string, len(routes))
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.path, rt.h)
+		s.spanNames[rt.path] = "http " + rt.path
+	}
 	if opts.Pprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -276,17 +289,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := obs.GetSpanContext()
-	if id, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		sc.SetTraceID(id)
+	// Headers are read and written under their canonical keys directly:
+	// Get and Set would canonicalise "traceparent" on every request.
+	if h := r.Header["Traceparent"]; len(h) > 0 {
+		if id, ok := obs.ParseTraceparent(h[0]); ok {
+			sc.SetTraceID(id)
+		}
 	}
-	name := "http " + r.URL.Path
+	name, ok := s.spanNames[r.URL.Path]
+	if !ok {
+		name = "http " + r.URL.Path
+	}
 	root := sc.Start(name, obs.NoSpan)
-	w.Header().Set("traceparent", sc.Traceparent(root))
+	w.Header()["Traceparent"] = []string{sc.Traceparent(root)}
 	sw := &statusWriter{ResponseWriter: w}
-	start := time.Now()
 	s.mux.ServeHTTP(sw, r.WithContext(obs.ContextWithSpan(r.Context(), sc, root)))
 	sc.End(root)
-	d := time.Since(start)
+	// The record's start and duration are the root span's own stamps, so
+	// a retained trace's duration_ns equals its root span's.
+	start, d := sc.Interval(root)
 	if sw.status >= http.StatusInternalServerError {
 		s.log.Error("request failed",
 			"trace_id", sc.TraceID(), "path", r.URL.Path,
@@ -330,21 +351,21 @@ type mutation struct {
 	Value *int64 `json:"value,omitempty"`
 }
 
-func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request) (*mutation, bool) {
+func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request, x *scratch) (*mutation, bool) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")
 		return nil, false
 	}
-	var m mutation
-	if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
+	if err := x.decode(r.Body, maxPooled, x.scanMutation, &x.mut); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
 		return nil, false
 	}
+	m := &x.mut
 	if len(m.Point) == 0 {
 		writeErr(w, http.StatusBadRequest, "point required")
 		return nil, false
 	}
-	return &m, true
+	return m, true
 }
 
 // mutate applies one persisted (if persistence is attached) mutation,
@@ -408,7 +429,9 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	m, ok := s.decodeMutation(w, r)
+	x := getScratch()
+	defer putScratch(x)
+	m, ok := s.decodeMutation(w, r, x)
 	if !ok {
 		return
 	}
@@ -424,7 +447,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	v := s.read.Get(m.Point)
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]int64{"value": v})
+	x.send(w, appendInt(x.out, "value", v))
 }
 
 // rangeMutation is the body of POST /v1/add/range.
@@ -442,11 +465,13 @@ func (s *Server) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var m rangeMutation
-	if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
+	x := getScratch()
+	defer putScratch(x)
+	if err := x.decode(r.Body, maxPooled, x.scanRangeMutation, &x.rmut); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
+	m := &x.rmut
 	if len(m.Lo) == 0 || len(m.Hi) == 0 {
 		writeErr(w, http.StatusBadRequest, "lo and hi required")
 		return
@@ -467,11 +492,13 @@ func (s *Server) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"sum": sum})
+	x.send(w, appendInt(x.out, "sum", sum))
 }
 
 func (s *Server) handleSet(w http.ResponseWriter, r *http.Request) {
-	m, ok := s.decodeMutation(w, r)
+	x := getScratch()
+	defer putScratch(x)
+	m, ok := s.decodeMutation(w, r, x)
 	if !ok {
 		return
 	}
@@ -484,7 +511,7 @@ func (s *Server) handleSet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"value": *m.Value})
+	x.send(w, appendInt(x.out, "value", *m.Value))
 }
 
 // batchOp is one operation in a /v1/batch request.
@@ -542,7 +569,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	p, err := cubecli.ParsePoint(r.URL.Query().Get("point"))
+	x := getScratch()
+	defer putScratch(x)
+	p, err := x.parsePoint(queryValue(r.URL.RawQuery, "point"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "point: %v", err)
 		return
@@ -550,11 +579,13 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	v := s.read.Get(p)
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]int64{"value": v})
+	x.send(w, appendInt(x.out, "value", v))
 }
 
 func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
-	lo, hi, err := cubecli.ParseRange(r.URL.Query().Get("range"))
+	x := getScratch()
+	defer putScratch(x)
+	lo, hi, err := x.parseRange(queryValue(r.URL.RawQuery, "range"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "range: %v", err)
 		return
@@ -566,7 +597,7 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"sum": sum})
+	x.send(w, appendInt(x.out, "sum", sum))
 }
 
 // maxBatchQueries caps POST /v1/sum/batch and POST /v1/explain so a
@@ -578,10 +609,10 @@ const maxBatchQueries = 4096
 // maxBatchQueries boxes of the cube's d coordinates can take — 32 bytes
 // per coordinate and 128 per box leave room for any int and for
 // whitespace — so an oversized batch is refused before it is decoded.
-func (s *Server) decodeQueries(w http.ResponseWriter, r *http.Request) ([]ddc.RangeQuery, bool) {
+// The boxes live in x.
+func (s *Server) decodeQueries(w http.ResponseWriter, r *http.Request, x *scratch) ([]ddc.RangeQuery, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	var req struct{ Queries []ddc.RangeQuery }
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := x.decode(r.Body, -1, x.scanQueries, &x.batch); err != nil {
 		status := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
 			status = http.StatusRequestEntityTooLarge
@@ -589,15 +620,16 @@ func (s *Server) decodeQueries(w http.ResponseWriter, r *http.Request) ([]ddc.Ra
 		writeErr(w, status, "bad body: %v", err)
 		return nil, false
 	}
-	if len(req.Queries) == 0 {
+	queries := x.batch.Queries
+	if len(queries) == 0 {
 		writeErr(w, http.StatusBadRequest, "queries required")
 		return nil, false
 	}
-	if len(req.Queries) > maxBatchQueries {
-		writeErr(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(req.Queries), maxBatchQueries)
+	if len(queries) > maxBatchQueries {
+		writeErr(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(queries), maxBatchQueries)
 		return nil, false
 	}
-	return req.Queries, true
+	return queries, true
 }
 
 func (s *Server) handleSumBatch(w http.ResponseWriter, r *http.Request) {
@@ -605,7 +637,9 @@ func (s *Server) handleSumBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	queries, ok := s.decodeQueries(w, r)
+	x := getScratch()
+	defer putScratch(x)
+	queries, ok := s.decodeQueries(w, r, x)
 	if !ok {
 		return
 	}
@@ -613,7 +647,7 @@ func (s *Server) handleSumBatch(w http.ResponseWriter, r *http.Request) {
 	// execute, gather) into the request's trace; an untraced one has a
 	// nil span context, the engine's plain path.
 	sc, span := obs.SpanFromContext(r.Context())
-	sums := make([]int64, len(queries))
+	sums := x.sumsFor(len(queries))
 	s.mu.RLock()
 	stats, _, err := s.read.RangeSumBatchTrace(queries, sums, sc, span)
 	s.mu.RUnlock()
@@ -621,17 +655,7 @@ func (s *Server) handleSumBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"sums": sums,
-		"batch": map[string]int{
-			"queries":          stats.Queries,
-			"corner_terms":     stats.CornerTerms,
-			"skipped_corners":  stats.SkippedCorners,
-			"distinct_corners": stats.DistinctCorners,
-			"cache_hits":       stats.CacheHits,
-			"cache_misses":     stats.CacheMisses,
-		},
-	})
+	x.send(w, appendBatch(x.out, sums, stats))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -818,7 +842,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // middleware trace) the handler builds its own span context, so EXPLAIN
 // always answers with a span tree.
 func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
-	queries, ok := s.decodeQueries(w, r)
+	x := getScratch()
+	defer putScratch(x)
+	queries, ok := s.decodeQueries(w, r, x)
 	if !ok {
 		return
 	}

@@ -1,0 +1,7 @@
+//go:build !race
+
+package cubeserver
+
+// raceEnabled reports that the race detector is active; see
+// race_test.go.
+const raceEnabled = false

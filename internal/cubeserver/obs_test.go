@@ -388,3 +388,29 @@ func TestBatchBodyBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestTraceOneClock: a retained request trace takes its start
+// and duration from its root span, so the record's duration_ns equals
+// the root span's duration.
+func TestRequestTraceOneClock(t *testing.T) {
+	resetTelemetry(t)
+	srv := newTestServer(t, nil, mustCube(t, []int{32, 32}, ddc.Options{}))
+	tel := ddc.GlobalTelemetry()
+	tel.SetTraceSampling(1)
+	for i := 0; i < 3; i++ {
+		post(t, srv.URL+"/v1/sum/batch", `{"queries":[{"lo":[0,0],"hi":[7,7]},{"lo":[2,3],"hi":[31,31]}]}`)
+	}
+	n := 0
+	for _, tr := range tel.Traces() {
+		if tr.Op != "http /v1/sum/batch" {
+			continue
+		}
+		n++
+		if root := tr.Spans[0]; root.DurationNs != tr.DurationNs {
+			t.Errorf("trace %s: root span lasted %d ns, the record %d ns", tr.TraceID, root.DurationNs, tr.DurationNs)
+		}
+	}
+	if n != 3 {
+		t.Fatalf("%d sampled batch request traces, want 3", n)
+	}
+}

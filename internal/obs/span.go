@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,6 +176,27 @@ func (sc *SpanContext) End(id SpanID) {
 	s.ended = true
 }
 
+// Interval returns the span's start as a wall-clock time and its
+// duration: the stamps its snapshot reports, so a record built from them
+// agrees with its span tree. An unended span reports the duration
+// observed so far; an unrecorded id, the trace start and 0.
+func (sc *SpanContext) Interval(id SpanID) (time.Time, time.Duration) {
+	if id < 0 || int(id) >= sc.Len() {
+		return sc.start, 0
+	}
+	s := &sc.spans[id]
+	return sc.start.Add(time.Duration(s.startNs)), time.Duration(sc.durNs(s))
+}
+
+// durNs is a span's duration, or for an unended span the time since it
+// started.
+func (sc *SpanContext) durNs(s *span) int64 {
+	if !s.ended {
+		return int64(time.Since(sc.start)) - s.startNs
+	}
+	return s.durNs
+}
+
 // SetAttr attaches an integer attribute to the span. Attributes past
 // the fixed per-span cap are silently dropped. A no-op on a nil sc.
 func (sc *SpanContext) SetAttr(id SpanID, key string, val int64) {
@@ -231,10 +251,7 @@ func (sc *SpanContext) Snapshot() []SpanSnapshot {
 			Parent:     int32(s.parent),
 			Name:       s.name,
 			StartNs:    s.startNs,
-			DurationNs: s.durNs,
-		}
-		if !s.ended {
-			ss.DurationNs = int64(time.Since(sc.start)) - s.startNs
+			DurationNs: sc.durNs(s),
 		}
 		if s.nattrs > 0 {
 			ss.Attrs = make(map[string]int64, s.nattrs)
@@ -314,7 +331,16 @@ func (sc *SpanContext) Traceparent(id SpanID) string {
 	if id < 0 {
 		id = 0
 	}
-	return fmt.Sprintf("00-%s-%016x-01", sc.TraceID(), uint64(id)+1)
+	const digits = "0123456789abcdef"
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], sc.traceID[:])
+	b[35] = '-'
+	for i, v := 51, uint64(id)+1; i > 35; i, v = i-1, v>>4 {
+		b[i] = digits[v&15]
+	}
+	copy(b[52:], "-01")
+	return string(b[:])
 }
 
 // ---------------------------------------------------------------------

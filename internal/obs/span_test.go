@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +138,15 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	h := sc.Traceparent(id)
 	if len(h) != 55 || !strings.HasPrefix(h, "00-") {
 		t.Fatalf("traceparent %q is not a 55-char version-00 header", h)
+	}
+	for _, span := range []SpanID{DroppedSpan, NoSpan, 0, 1, 15, 511, 1<<31 - 1} {
+		want := span
+		if want < 0 {
+			want = 0
+		}
+		if got, want := sc.Traceparent(span), fmt.Sprintf("00-%s-%016x-01", sc.TraceID(), uint64(want)+1); got != want {
+			t.Errorf("Traceparent(%d) = %q, want %q", span, got, want)
+		}
 	}
 	got, ok := ParseTraceparent(h)
 	if !ok {

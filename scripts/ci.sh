@@ -53,8 +53,12 @@ go test -run - -bench '(RangeQuery|RangeSumBatch)$/(dense|grown|dashboard|random
 # §10); every batch entry point derived from a planner's one engine must
 # agree with it (sums, stats, op counts, one ring trace per untraced
 # call); every implementation must reject malformed points and boxes
-# with the same sentinel; plus the endpoint's contract.
-go test -run 'RangeSumBatch|BatchTelemetry|SumBatch|BatchEntryPoints|ValidationAgreement' -count=1 . ./internal/cubeserver
+# with the same sentinel; plus the endpoint's contract. The served codec
+# (DESIGN.md §7) rides along: its decoder fuzz seed corpora (each scanner
+# against encoding/json or url.ParseQuery + cubecli on the same input),
+# the byte-identical append-encoded responses, and the per-request
+# allocation guard of the hot endpoints.
+go test -run 'RangeSumBatch|BatchTelemetry|SumBatch|BatchEntryPoints|ValidationAgreement|DecodeQueries|DecodeMutation|ParseRangeQuery|ServedHandlerAllocs|ResponseBytes' -count=1 . ./internal/cubeserver
 # Backend property tier (DESIGN.md §11): every prefix-sum backend must
 # agree exactly with the classic reference — cube-level op sequences,
 # snapshot round-trips across backends, the psum fuzz seed corpus, the
@@ -80,8 +84,10 @@ go test -run - -bench ProfilerGuard -benchtime 1x .
 # POST /v1/explain and validate its schema (trace id, plan, Theorem 1
 # visit budget, stage span tree), and exit via SIGTERM so the graceful
 # shutdown flush runs. TestTracingDisabledAllocs pins the disabled
-# path at 0 allocs/op.
-go test -race -run 'Span|Traceparent' -count=1 . ./internal/obs ./internal/cubeserver
+# path at 0 allocs/op. TestServedPooledScratchRace runs served readers,
+# writers and the trace and workload endpoints at once over the pooled
+# request scratch, every answer checked.
+go test -race -run 'Span|Traceparent|ServedPooledScratchRace' -count=1 . ./internal/obs ./internal/cubeserver
 go test -run 'TracingDisabledAllocs|ExplainBatchSchema|Readyz|HealthAndReadiness|TraceRingStats|BuildInfo' -count=1 . ./internal/cubeserver
 go build -o "$tmp/ddcserver" ./cmd/ddcserver
 go run ./scripts/obssmoke -server "$tmp/ddcserver"
