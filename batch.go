@@ -202,7 +202,7 @@ func (c *DynamicCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 	if err != nil {
 		return BatchStats(st), nil, err
 	}
-	tel.queryDone(&cubeQuery{op: qOpBatchRange, be: c.be, start: start, batch: queries, ops: ops, stats: BatchStats(st), src: c.profiled(), sc: sc})
+	tel.queryDone(&cubeQuery{op: qOpBatchRange, be: c.be, start: start, batch: queries, ops: ops, stats: BatchStats(st), sc: sc})
 	return BatchStats(st), levels, nil
 }
 

@@ -240,8 +240,9 @@ func (b *Buffered) Bounds() (lo, hi []int) {
 	return cloneInts(bd.lo), cloneInts(bd.hi)
 }
 
-// workloadBounds supplies the inclusive domain for the workload heatmap.
-func (b *Buffered) workloadBounds() (lo, hi []int) {
+// inclusiveBounds returns the current domain with an inclusive high
+// corner, the box Total sums.
+func (b *Buffered) inclusiveBounds() (lo, hi []int) {
 	lo, hi = b.Bounds()
 	for i := range hi {
 		hi[i]--
@@ -610,7 +611,7 @@ func (b *Buffered) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *obs
 func (b *Buffered) Total() int64 {
 	b.applyMu.RLock()
 	v := b.inner.Total()
-	lo, hi := b.workloadBounds()
+	lo, hi := b.inclusiveBounds()
 	b.dmu.RLock()
 	dv, n := deltaRange(b.active, lo, hi)
 	v += dv

@@ -15,7 +15,7 @@ import (
 // capture (see FORMATS.md)
 // against a freshly built cube: updates rebuild the captured state in
 // order, queries re-run with their answers folded into order-sensitive
-// checksums. Replaying the same capture under every -backend must
+// checksums, and the report carries the capture's offline profile. Replaying the same capture under every -backend must
 // produce identical checksums — the capture→replay equivalence check
 // scripts/ci.sh runs — and a live server's answers must match the
 // replayed ones bit-exactly.
@@ -40,6 +40,10 @@ type replaySummary struct {
 	QueryValues int    `json:"query_values"`
 	SumsSum     int64  `json:"sums_sum"`
 	SumsXor     uint64 `json:"sums_xor"`
+	// Profile is the capture's offline workload profile: the read/write
+	// mix, the heatmap planes, the box shape histograms and the most
+	// frequent query boxes.
+	Profile workload.Profile `json:"profile"`
 }
 
 func (s *replaySummary) mix(v int64) {
@@ -68,7 +72,7 @@ func execReplay(path, backend string, speed float64) (*replaySummary, *ddc.Dynam
 		File: path, Backend: c.Backend(), Dims: info.Dims,
 		SampleQueries: info.SampleN, Speed: speed,
 		Records: info.Records, Updates: info.Updates, Queries: info.Queries,
-		Torn: info.Torn,
+		Torn: info.Torn, Profile: workload.ProfileRecords(info, recs),
 	}
 	start := time.Now()
 	for _, rec := range recs {

@@ -18,13 +18,18 @@
 // POST /v1/checkpoint or automatic thresholds. -data conflicts with
 // -cube/-wal.
 //
-// Endpoints: POST /v1/add, POST /v1/set, POST /v1/batch,
-// POST /v1/checkpoint, GET /v1/get, GET /v1/sum, POST /v1/sum/batch,
-// GET /v1/scan, GET /v1/explain, POST /v1/explain (span-traced batch
-// EXPLAIN), GET /v1/stats, GET /v1/trace, GET /v1/workload (live
-// query-shape profile), GET /v1/snapshot, GET /healthz, GET /readyz,
-// GET /metrics (Prometheus text), and GET /debug/pprof/ with -pprof.
-// See internal/cubeserver.
+// Endpoints: POST /v1/add, POST /v1/add/range, POST /v1/set,
+// POST /v1/batch, POST /v1/checkpoint, GET /v1/get, GET /v1/sum,
+// POST /v1/sum/batch, GET /v1/scan, GET /v1/explain, POST /v1/explain
+// (span-traced batch EXPLAIN), GET /v1/stats, GET /v1/trace,
+// GET /v1/workload (workload capture progress), GET /v1/snapshot,
+// GET /healthz, GET /readyz, GET /metrics (Prometheus text), and
+// GET /debug/pprof/ with -pprof. See internal/cubeserver.
+//
+// -workload-capture records every update the server applies and 1 in
+// -capture-sample of the range sums and batches it answers, in the
+// order the server applied and answered them; ddcbench -replay replays
+// the capture and prints its offline workload profile.
 package main
 
 import (
@@ -88,7 +93,7 @@ func main() {
 		Logger:       logger,
 	}
 
-	var handler http.Handler
+	var handler *cubeserver.Server
 	var dims []int
 	shutdown := func() error { return nil }
 
@@ -170,7 +175,7 @@ func main() {
 		if err != nil {
 			log.Fatal("ddcserver: -workload-capture: ", err)
 		}
-		ddc.GlobalTelemetry().AttachCapture(cp)
+		handler.AttachCapture(cp)
 		log.Printf("capturing workload to %s (1 in %d queries, all updates)", *capturePath, *captureSample)
 	}
 
@@ -192,11 +197,11 @@ func main() {
 		if err := srv.Shutdown(sctx); err != nil {
 			log.Print("ddcserver: shutdown: ", err)
 		}
-		// Flush the workload capture before telemetry goes quiet: detach
+		// Flush the workload capture once no request is in flight: detach
 		// first so no record races the close, then drain the buffer and
 		// sync. A torn in-flight record at the tail is tolerated by
 		// readers, but a graceful exit should not leave one.
-		if cp := ddc.GlobalTelemetry().AttachCapture(nil); cp != nil {
+		if cp := handler.AttachCapture(nil); cp != nil {
 			st := cp.Stats()
 			if err := cp.Close(); err != nil {
 				log.Print("ddcserver: closing workload capture: ", err)

@@ -61,20 +61,6 @@ type DynamicCube struct {
 	// be is the cube's psum.Index, cached so telemetry recording costs
 	// an array index instead of a string resolution per operation.
 	be int
-	// noProfile suppresses the workload-profiler hooks: set on the inner
-	// cubes a ShardedCube owns, whose coordinates are slab-local — the
-	// sharded fan-out records the global box/point instead.
-	noProfile bool
-}
-
-// workloadBounds supplies the inclusive domain for the workload
-// heatmap (Bounds reports an exclusive high corner).
-func (c *DynamicCube) workloadBounds() (lo, hi []int) {
-	lo, hi = c.t.Bounds()
-	for i := range hi {
-		hi[i]--
-	}
-	return lo, hi
 }
 
 // newDynamicCube wraps a core tree, caching its backend label index.
@@ -171,9 +157,6 @@ func (c *DynamicCube) AddBatch(batch []PointDelta) error {
 			batchErr = fmt.Errorf("batch[%d]: %w", i, err)
 			break
 		}
-		if on && !c.noProfile {
-			tel.workloadWrite(c, logrec.Mutation{Kind: logrec.Add, Lo: pd.Point, Delta: pd.Delta})
-		}
 	}
 	if on {
 		tel.recordUpdate(uOpBatch, c.be, time.Since(start), merged)
@@ -225,7 +208,7 @@ var kindOp = [...]int{logrec.Add: uOpAdd, logrec.Set: uOpSet, logrec.RangeAdd: u
 
 // apply is the one mutator behind Set, Add and RangeAdd: it applies m
 // to the tree and, with telemetry enabled, records the update's
-// latency and operation counts and profiles it.
+// latency and operation counts.
 func (c *DynamicCube) apply(m logrec.Mutation) error {
 	tel := globalTelemetry
 	on := tel.on()
@@ -247,9 +230,6 @@ func (c *DynamicCube) apply(m logrec.Mutation) error {
 	}
 	if on {
 		tel.recordUpdate(kindOp[m.Kind], c.be, time.Since(start), ops)
-		if err == nil && !c.noProfile {
-			tel.workloadWrite(c, m)
-		}
 	}
 	return err
 }
@@ -273,7 +253,7 @@ func (c *DynamicCube) Prefix(p []int) int64 {
 	}
 	start := time.Now()
 	v, ops := c.t.PrefixOps(grid.Point(p))
-	tel.queryDone(&cubeQuery{op: qOpPrefix, be: c.be, start: start, lo: p, ops: ops, src: c.profiled(), tree: c.t})
+	tel.queryDone(&cubeQuery{op: qOpPrefix, be: c.be, start: start, lo: p, ops: ops, tree: c.t})
 	return v
 }
 
@@ -286,18 +266,8 @@ func (c *DynamicCube) RangeSum(lo, hi []int) (int64, error) {
 	}
 	start := time.Now()
 	v, ops, err := c.t.RangeSumOps(grid.Point(lo), grid.Point(hi))
-	tel.queryDone(&cubeQuery{op: qOpRange, be: c.be, start: start, err: err, lo: lo, hi: hi, ops: ops, src: c.profiled()})
+	tel.queryDone(&cubeQuery{op: qOpRange, be: c.be, start: start, err: err, lo: lo, hi: hi, ops: ops})
 	return v, err
-}
-
-// profiled returns the cube as the workload profile's domain, or nil
-// when the cube answers for a wrapper that profiles in its own
-// coordinates.
-func (c *DynamicCube) profiled() workloadDomain {
-	if c.noProfile {
-		return nil
-	}
-	return c
 }
 
 // Total implements Cube.

@@ -365,11 +365,11 @@ func TestServedHandlerAllocs(t *testing.T) {
 		method, target, body string
 		max                  float64
 	}{
-		{"GET", "/v1/sum?range=1,2:200,201", "", 12},        // 26 with encoding/json
-		{"POST", "/v1/sum/batch", b.String(), 12},           // 120
-		{"POST", "/v1/add", `{"point":[3,4],"delta":5}`, 7}, // 30
-		{"POST", "/v1/add/range", `{"lo":[3,4],"hi":[9,9],"delta":5}`, 12},
-		{"GET", "/v1/get?point=3,4", "", 12},
+		{"GET", "/v1/sum?range=1,2:200,201", "", 4},         // 26 with encoding/json
+		{"POST", "/v1/sum/batch", b.String(), 6},            // 120
+		{"POST", "/v1/add", `{"point":[3,4],"delta":5}`, 4}, // 30
+		{"POST", "/v1/add/range", `{"lo":[3,4],"hi":[9,9],"delta":5}`, 4},
+		{"GET", "/v1/get?point=3,4", "", 4},
 	} {
 		body := &resetBody{}
 		req := httptest.NewRequest(c.method, c.target, nil)

@@ -20,6 +20,7 @@
 //	                    (forced span tracing: plan, budget check, span tree)
 //	GET  /v1/stats
 //	GET  /v1/trace                  (retained query traces, newest first)
+//	GET  /v1/workload               (workload capture progress)
 //	GET  /v1/snapshot               (binary snapshot stream)
 //	GET  /healthz                   (liveness: process is up)
 //	GET  /readyz                    (readiness: recovery done, log healthy)
@@ -30,10 +31,14 @@
 // header is honoured inbound (the request joins the caller's trace) and
 // echoed outbound, and requests admitted by the slow-query threshold or
 // the sampler retain their full span tree in the /v1/trace ring.
+//
+// A server with a workload capture attached (AttachCapture) records
+// every write it applies and every read it answers into the capture,
+// under the lock that orders them: the capture replays to the server's
+// own answers whatever write front is below.
 package cubeserver
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,6 +54,7 @@ import (
 	"ddc/internal/cubecli"
 	"ddc/internal/logrec"
 	"ddc/internal/obs"
+	"ddc/internal/workload"
 )
 
 // Persistence is the durability surface the server drives: mutations
@@ -119,6 +125,9 @@ type Server struct {
 	// spanNames maps each mounted path to its root span name, so a
 	// request's trace name is not built per request.
 	spanNames map[string]string
+	// capture, when attached, records writes under mu's write lock as
+	// they apply and reads under its read lock as they are answered.
+	capture atomic.Pointer[workload.Capture]
 
 	// version counts successful mutations; the derived-stats cache below
 	// is recomputed only when it moves (NonZeroCells/StorageCells/Total
@@ -255,10 +264,33 @@ func NewWithPersistence(c *ddc.DynamicCube, p Persistence, opts Options) *Server
 	return s
 }
 
-// statusWriter captures the response status for the tracing middleware.
+// AttachCapture directs the server's workload record into c: every
+// mutation it applies (for POST /v1/batch, the applied prefix) and,
+// subject to the capture's sampling, every range sum and batch it
+// answers (the sum a range add echoes and POST /v1/explain's batch
+// included). nil detaches. The previous capture, if any, is returned
+// so the caller can Close it.
+func (s *Server) AttachCapture(c *workload.Capture) *workload.Capture {
+	return s.capture.Swap(c)
+}
+
+// statusWriter captures the response status for the tracing middleware
+// and carries the request's trace to the handlers.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	sc     *obs.SpanContext
+	span   obs.SpanID
+}
+
+// requestSpan returns the request's trace and its root span, or (nil,
+// NoSpan) when the request is untraced (telemetry off: the handler got
+// the caller's writer, not a statusWriter).
+func requestSpan(w http.ResponseWriter) (*obs.SpanContext, obs.SpanID) {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw.sc, sw.span
+	}
+	return nil, obs.NoSpan
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -278,10 +310,11 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // ServeHTTP implements http.Handler. When telemetry is enabled every
 // request runs under a pooled span trace: an inbound W3C traceparent
 // header joins the caller's trace, the outbound header carries this
-// request's identity, handlers reach the trace through the request
-// context, and requests admitted by the slow-query threshold or the
-// sampler retain their span tree in the /v1/trace ring. With telemetry
-// disabled the entire path is one atomic load and a plain dispatch.
+// request's identity, handlers reach the trace through the status
+// writer they are handed (requestSpan), and requests admitted by the
+// slow-query threshold or the sampler retain their span tree in the
+// /v1/trace ring. With telemetry disabled the entire path is one atomic
+// load and a plain dispatch.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tel := ddc.GlobalTelemetry()
 	if !tel.Enabled() {
@@ -302,8 +335,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	root := sc.Start(name, obs.NoSpan)
 	w.Header()["Traceparent"] = []string{sc.Traceparent(root)}
-	sw := &statusWriter{ResponseWriter: w}
-	s.mux.ServeHTTP(sw, r.WithContext(obs.ContextWithSpan(r.Context(), sc, root)))
+	sw := &statusWriter{ResponseWriter: w, sc: sc, span: root}
+	s.mux.ServeHTTP(sw, r)
 	sc.End(root)
 	// The record's start and duration are the root span's own stamps, so
 	// a retained trace's duration_ns equals its root span's.
@@ -368,29 +401,37 @@ func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request, x *scrat
 	return m, true
 }
 
-// mutate applies one persisted (if persistence is attached) mutation,
-// bumping the stats-cache version on success. The Flush is the commit
-// point: a non-error response means the mutation is durable. When the
-// request carries a span trace and the persistence supports it, WAL
-// appends/fsyncs and checkpoints record child spans — detached again
-// before the pooled trace returns to its pool.
-func (s *Server) mutate(ctx context.Context, fn func() error) error {
+// mutate applies ms in order through the persistence (if attached) or
+// the cube, stopping at the first failure, and reports how many
+// applied. Each applied mutation lands in the attached capture under
+// the write lock, so the capture holds writes in the order they
+// applied, before any read that saw them. The Flush is the commit
+// point: a non-error response means the mutations are durable. When
+// the request is traced (sc non-nil) and the persistence supports it,
+// WAL appends/fsyncs and checkpoints record child spans under span —
+// detached again before the pooled trace returns to its pool.
+func (s *Server) mutate(sc *obs.SpanContext, span obs.SpanID, ms ...logrec.Mutation) (applied int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok := s.persist.(spanTracer); ok {
-		st.TraceSpans(obs.SpanFromContext(ctx))
+		st.TraceSpans(sc, span)
 		defer st.TraceSpans(nil, obs.NoSpan)
 	}
 	// Invalidate unconditionally: a failing batch may still have applied
 	// a prefix of its operations.
 	s.version.Add(1)
-	if err := fn(); err != nil {
-		return err
+	cp := s.capture.Load()
+	for _, m := range ms {
+		if err := m.Apply(s.target); err != nil {
+			return applied, err
+		}
+		cp.Update(m)
+		applied++
 	}
 	if s.persist != nil {
-		return s.persist.Flush()
+		return applied, s.persist.Flush()
 	}
-	return nil
+	return applied, nil
 }
 
 // handleCheckpoint persists a snapshot and rotates the log (POST). With
@@ -411,7 +452,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// lock drops — the attachment is guarded by s.mu.
 	st, traced := s.persist.(spanTracer)
 	if traced {
-		st.TraceSpans(obs.SpanFromContext(r.Context()))
+		st.TraceSpans(requestSpan(w))
 	}
 	err := s.persist.Checkpoint()
 	if traced {
@@ -439,8 +480,8 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "delta required")
 		return
 	}
-	err := s.mutate(r.Context(), func() error { return s.target.Add(m.Point, *m.Delta) })
-	if err != nil {
+	sc, span := requestSpan(w)
+	if _, err := s.mutate(sc, span, logrec.Mutation{Kind: logrec.Add, Lo: m.Point, Delta: *m.Delta}); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -480,13 +521,16 @@ func (s *Server) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "delta required")
 		return
 	}
-	err := s.mutate(r.Context(), func() error { return s.target.RangeAdd(m.Lo, m.Hi, *m.Delta) })
-	if err != nil {
+	sc, span := requestSpan(w)
+	if _, err := s.mutate(sc, span, logrec.Mutation{Kind: logrec.RangeAdd, Lo: m.Lo, Hi: m.Hi, Delta: *m.Delta}); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.RLock()
 	sum, serr := s.read.RangeSum(m.Lo, m.Hi)
+	if serr == nil {
+		s.capture.Load().RangeSum(m.Lo, m.Hi)
+	}
 	s.mu.RUnlock()
 	if serr != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", serr)
@@ -506,8 +550,8 @@ func (s *Server) handleSet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "value required")
 		return
 	}
-	err := s.mutate(r.Context(), func() error { return s.target.Set(m.Point, *m.Value) })
-	if err != nil {
+	sc, span := requestSpan(w)
+	if _, err := s.mutate(sc, span, logrec.Mutation{Kind: logrec.Set, Lo: m.Point, Delta: *m.Value}); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -542,22 +586,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "ops required")
 		return
 	}
-	applied := 0
-	err := s.mutate(r.Context(), func() error {
-		for _, op := range req.Ops {
-			var err error
-			if k, ok := logrec.ParseKind(op.Op); ok && !k.Box() {
-				err = logrec.Mutation{Kind: k, Lo: op.Point, Delta: op.Value}.Apply(s.target)
-			} else {
-				err = fmt.Errorf("unknown op %q", op.Op)
-			}
-			if err != nil {
-				return fmt.Errorf("op %d: %v", applied, err)
-			}
-			applied++
+	// The ops before the first unknown one are applied; it fails the
+	// batch like an operation that fails to apply.
+	ms := make([]logrec.Mutation, 0, len(req.Ops))
+	var unknown error
+	for i, op := range req.Ops {
+		k, ok := logrec.ParseKind(op.Op)
+		if !ok || k.Box() {
+			unknown = fmt.Errorf("op %d: unknown op %q", i, op.Op)
+			break
 		}
-		return nil
-	})
+		ms = append(ms, logrec.Mutation{Kind: k, Lo: op.Point, Delta: op.Value})
+	}
+	sc, span := requestSpan(w)
+	applied, err := s.mutate(sc, span, ms...)
+	if err != nil {
+		err = fmt.Errorf("op %d: %v", applied, err)
+	} else {
+		err = unknown
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]interface{}{
 			"error":   err.Error(),
@@ -592,6 +639,9 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RLock()
 	sum, err := s.read.RangeSum(lo, hi)
+	if err == nil {
+		s.capture.Load().RangeSum(lo, hi)
+	}
 	s.mu.RUnlock()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -646,10 +696,13 @@ func (s *Server) handleSumBatch(w http.ResponseWriter, r *http.Request) {
 	// A traced request's planner records its stage spans (plan, dedup,
 	// execute, gather) into the request's trace; an untraced one has a
 	// nil span context, the engine's plain path.
-	sc, span := obs.SpanFromContext(r.Context())
+	sc, span := requestSpan(w)
 	sums := x.sumsFor(len(queries))
 	s.mu.RLock()
 	stats, _, err := s.read.RangeSumBatchTrace(queries, sums, sc, span)
+	if err == nil {
+		s.captureBatch(queries)
+	}
 	s.mu.RUnlock()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -758,27 +811,35 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleWorkload serves the live workload profile: the read/write mix,
-// the cube heatmap (read and write planes plus dimension-0 marginals),
-// the query-shape histograms, the heavy-hitter boxes, and — when
-// `ddcserver -workload-capture` is active — the capture's progress
-// counters.
+// captureBatch records one answered batch of query boxes in the
+// attached capture; the caller holds the read lock.
+func (s *Server) captureBatch(queries []ddc.RangeQuery) {
+	cp := s.capture.Load()
+	if cp == nil {
+		return
+	}
+	qs := make([]workload.Query, len(queries))
+	for i, q := range queries {
+		qs[i] = workload.Query{Lo: q.Lo, Hi: q.Hi}
+	}
+	cp.Batch(qs)
+}
+
+// handleWorkload serves the workload capture's progress counters when
+// one is attached (`ddcserver -workload-capture`); the capture's
+// profile is computed offline, by ddcbench -replay.
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeErr(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	tel := ddc.GlobalTelemetry()
 	capture := map[string]interface{}{"attached": false}
-	if st, ok := tel.CaptureStats(); ok {
+	if cp := s.capture.Load(); cp != nil {
 		capture["attached"] = true
-		capture["stats"] = st
+		capture["stats"] = cp.Stats()
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"profile": tel.WorkloadSnapshot(),
-		"capture": capture,
-	})
+	writeJSON(w, http.StatusOK, map[string]interface{}{"capture": capture})
 }
 
 // handleHealthz is the liveness probe: the process is up and serving.
@@ -848,7 +909,7 @@ func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sc, parent := obs.SpanFromContext(r.Context())
+	sc, parent := requestSpan(w)
 	if sc == nil {
 		sc = obs.GetSpanContext()
 		defer obs.PutSpanContext(sc)
@@ -858,6 +919,9 @@ func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 	sums := make([]int64, len(queries))
 	s.mu.RLock()
 	stats, levels, err := s.read.RangeSumBatchTrace(queries, sums, sc, root)
+	if err == nil {
+		s.captureBatch(queries)
+	}
 	treeLevels := s.c.TreeLevels()
 	s.mu.RUnlock()
 	sc.End(root)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
@@ -341,33 +340,4 @@ func (sc *SpanContext) Traceparent(id SpanID) string {
 	}
 	copy(b[52:], "-01")
 	return string(b[:])
-}
-
-// ---------------------------------------------------------------------
-// context.Context propagation
-
-type spanCtxKey struct{}
-
-type spanRef struct {
-	sc   *SpanContext
-	span SpanID
-}
-
-// ContextWithSpan returns a context carrying the trace and its current
-// span, for propagation across API layers within a request.
-func ContextWithSpan(ctx context.Context, sc *SpanContext, span SpanID) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, spanRef{sc: sc, span: span})
-}
-
-// SpanFromContext returns the context's trace and current span, or
-// (nil, NoSpan) when the request is untraced — the single check callers
-// gate their recording on.
-func SpanFromContext(ctx context.Context) (*SpanContext, SpanID) {
-	if ctx == nil {
-		return nil, NoSpan
-	}
-	if ref, ok := ctx.Value(spanCtxKey{}).(spanRef); ok {
-		return ref.sc, ref.span
-	}
-	return nil, NoSpan
 }

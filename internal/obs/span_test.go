@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -168,24 +167,6 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("malformed traceparent %q accepted", bad)
 		}
-	}
-}
-
-// TestSpanContextPropagation: the context plumbing returns exactly what
-// was attached, and (nil, NoSpan) for untraced requests.
-func TestSpanContextPropagation(t *testing.T) {
-	if sc, id := SpanFromContext(nil); sc != nil || id != NoSpan {
-		t.Fatal("nil context must report untraced")
-	}
-	if sc, id := SpanFromContext(context.Background()); sc != nil || id != NoSpan {
-		t.Fatal("bare context must report untraced")
-	}
-	want := NewSpanContext(2)
-	span := want.Start("s", NoSpan)
-	ctx := ContextWithSpan(context.Background(), want, span)
-	got, id := SpanFromContext(ctx)
-	if got != want || id != span {
-		t.Fatal("context round trip lost the trace")
 	}
 }
 

@@ -1,7 +1,8 @@
-// Workload capture: a compact binary log of the operations a live cube
-// served — updates always, queries sampled 1-in-N — so captured
-// production shapes replay as benchmarks (ddcbench -replay) and
-// regression workloads. The format, DDCWKLD2 (docs/FORMATS.md):
+// Workload capture: a compact binary log of the operations a live
+// server applied and answered (internal/cubeserver records them) —
+// updates always, queries sampled 1-in-N — so captured production
+// shapes replay as benchmarks (ddcbench -replay) and regression
+// workloads. The format, DDCWKLD2 (docs/FORMATS.md):
 //
 //	header:  magic "DDCWKLD2" | uint32 d | uint32 sampleN |
 //	         int64 base unix-nanos | d × int64 domain extents
@@ -96,10 +97,12 @@ type CaptureStats struct {
 }
 
 // Capture writes a DDCWKLD2 stream. All methods are safe for
-// concurrent use (one mutex guards the encoder and file; capture sits
-// on the telemetry-enabled path only, never the disabled fast path).
-// The first write error latches: subsequent records are dropped and
-// the error surfaces in Stats and from Close.
+// concurrent use (one mutex guards the encoder and file), and the
+// recording methods (Update, Add, Set, RangeAdd, RangeSum, Prefix,
+// Batch) are no-ops on a nil *Capture, so a caller with no capture
+// attached records unconditionally. The first write error latches:
+// subsequent records are dropped and the error surfaces in Stats and
+// from Close.
 type Capture struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -239,6 +242,9 @@ func (c *Capture) begin(op byte) {
 // Update captures one mutation: its op, the cell (or both box corners),
 // then the delta. Updates are always captured.
 func (c *Capture) Update(m logrec.Mutation) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -284,6 +290,9 @@ func (c *Capture) sampleQuery() bool {
 
 // RangeSum captures one query box, subject to sampling.
 func (c *Capture) RangeSum(lo, hi []int) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil || !c.sampleQuery() {
@@ -298,6 +307,9 @@ func (c *Capture) RangeSum(lo, hi []int) {
 
 // Prefix captures one prefix-sum point, subject to sampling.
 func (c *Capture) Prefix(p []int) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil || !c.sampleQuery() {
@@ -312,7 +324,7 @@ func (c *Capture) Prefix(p []int) {
 // Batch captures one batched range-sum call as a single record (and a
 // single query event for sampling).
 func (c *Capture) Batch(qs []Query) {
-	if len(qs) == 0 {
+	if c == nil || len(qs) == 0 {
 		return
 	}
 	c.mu.Lock()
@@ -348,14 +360,6 @@ func (c *Capture) Stats() CaptureStats {
 		s.Err = c.err.Error()
 	}
 	return s
-}
-
-// ResetStats zeroes the progress counters without touching the file —
-// the Telemetry.Reset contract (metrics restart, capture continues).
-func (c *Capture) ResetStats() {
-	c.mu.Lock()
-	c.records, c.updates, c.queries, c.sampledOut, c.rotations = 0, 0, 0, 0, 0
-	c.mu.Unlock()
 }
 
 // Flush pushes buffered records to the OS.

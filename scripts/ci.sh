@@ -5,7 +5,7 @@
 # matrices over the WAL and the store), the telemetry-overhead
 # benchmark (DESIGN.md §8; reported, not gated), the dense read
 # benchmarks, the batch-equivalence property tier (DESIGN.md §10), the
-# backend and workload-profiler guard benchmarks, the mixed-workload
+# backend guard benchmark, the workload capture tier, the mixed-workload
 # tier for the buffered write front (DESIGN.md §15), the end-to-end
 # benchmark module's own checks plus one answer-checked smoke run, and
 # last the mixed-workload guard benchmark.
@@ -71,13 +71,10 @@ go test -run 'RangeSumBatch|BatchTelemetry|SumBatch|BatchEntryPoints|ValidationA
 # reference (TestPendingComposePerBox) — under the race detector; the
 # allocation guards run in the plain pass above.
 go test -race -run 'Backend|Auto|OpCount|Descent|BatchMatches|PendingComposePerBox' -count=1 . ./internal/psum ./internal/core
-# Guard benchmarks (guard_bench_test.go): the blocked backend's point
+# Guard benchmark (guard_bench_test.go): the blocked backend's point
 # sum and point add must each cost at most 1.4x classic's on a d = 2
-# 256² cube (a flat-layout regression fails here), and the workload
-# profiler's median paired on/off ratio over 150 interleaved pairs of
-# 100 d = 3 range sums must stay at or under 1.02.
+# 256² cube (a flat-layout regression fails here).
 go test -run - -bench BackendGuard .
-go test -run - -bench ProfilerGuard -benchtime 1x .
 # Observability tier (DESIGN.md §12): the span/tracing property tests
 # under the race detector, the span-count and EXPLAIN-schema contracts,
 # then a live smoke — boot a real ddcserver, poll /readyz, run a traced
@@ -86,19 +83,26 @@ go test -run - -bench ProfilerGuard -benchtime 1x .
 # shutdown flush runs. TestTracingDisabledAllocs pins the disabled
 # path at 0 allocs/op. TestServedPooledScratchRace runs served readers,
 # writers and the trace and workload endpoints at once over the pooled
-# request scratch, every answer checked.
-go test -race -run 'Span|Traceparent|ServedPooledScratchRace' -count=1 . ./internal/obs ./internal/cubeserver
+# request scratch, every answer checked, and
+# TestCaptureReplaysServedAnswers runs concurrent writers and readers
+# against a buffered store with a workload capture attached, whose
+# replay must answer what the clients were answered.
+go test -race -run 'Span|Traceparent|ServedPooledScratchRace|CaptureReplaysServedAnswers' -count=1 . ./internal/obs ./internal/cubeserver
 go test -run 'TracingDisabledAllocs|ExplainBatchSchema|Readyz|HealthAndReadiness|TraceRingStats|BuildInfo' -count=1 . ./internal/cubeserver
 go build -o "$tmp/ddcserver" ./cmd/ddcserver
 go run ./scripts/obssmoke -server "$tmp/ddcserver"
-# Workload-intelligence tier (DESIGN.md §13): the query-shape profiler,
-# capture codec (FuzzReadCapture's seed corpus included) and top-K
-# sketch contracts; -version on both binaries; then the capture→replay
-# equivalence smoke — boot a ddcserver with -workload-capture, drive
-# mixed traffic over HTTP, and require ddcbench -replay to reproduce
-# the live answers bit-exactly under every prefix-sum backend. The
-# profiler-overhead guard is BenchmarkProfilerGuard above.
-go test -run 'Workload|Capture|TopK|LogHist' -count=1 . ./internal/obs ./internal/workload ./internal/cubeserver
+# Workload capture tier (DESIGN.md §13): the capture codec
+# (FuzzReadCapture's seed corpus included), the server's capture point
+# (one record per operation, in the client's coordinates, replaying to
+# the served answers), the /v1/workload schema, the offline profile
+# (equal to the retired live collectors on the golden fixture, exact
+# heavy hitters, plane sums) and the telemetry-off read allocations;
+# -version on both binaries; then the capture→replay equivalence smoke
+# — boot a ddcserver with -workload-capture, over a plain cube and again
+# over a buffered store, drive mixed traffic over HTTP, and require
+# ddcbench -replay to reproduce the live answers bit-exactly under every
+# prefix-sum backend and its profile to count the traffic.
+go test -run 'Workload|Capture|Profile|HeatGridSide' -count=1 . ./internal/workload ./internal/cubeserver
 "$tmp/ddcserver" -version
 go build -o "$tmp/ddcbench" ./cmd/ddcbench
 "$tmp/ddcbench" -version

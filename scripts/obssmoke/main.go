@@ -3,9 +3,9 @@
 // a few cells, runs a span-traced batch EXPLAIN and validates the
 // response shape — the trace identity, the plan, the Theorem 1 visit
 // budget and the stage span tree — then checks the health, trace-ring,
-// build-info and workload surfaces, requires every retained trace to be
-// a span tree, and shuts the server down gracefully. Standard library
-// only.
+// build-info and workload-capture surfaces, requires every retained
+// trace to be a span tree, and shuts the server down gracefully.
+// Standard library only.
 //
 //	go build -o /tmp/ddcserver ./cmd/ddcserver
 //	go run ./scripts/obssmoke -server /tmp/ddcserver
@@ -291,7 +291,7 @@ func checkSurfaces(base string) error {
 	if err != nil {
 		return err
 	}
-	for _, want := range []string{"ddc_build_info{", "ddc_slo_requests_total{", "ddc_queries_total{", "ddc_workload_reads_total"} {
+	for _, want := range []string{"ddc_build_info{", "ddc_slo_requests_total{", "ddc_queries_total{"} {
 		if !strings.Contains(string(scrape), want) {
 			return fmt.Errorf("/metrics missing %s", want)
 		}
@@ -299,41 +299,15 @@ func checkSurfaces(base string) error {
 	return nil
 }
 
-// checkWorkload validates the GET /v1/workload query-shape profile after
-// the traffic checkExplain drove: the profiler must be on, counting
-// reads and writes and publishing a square heatmap with read/write
-// planes; no capture was attached for this run.
+// checkWorkload validates GET /v1/workload: its capture block reports
+// no capture attached for this run.
 func checkWorkload(base string) error {
-	// One plain range sum so the read side is counted regardless of how
-	// earlier traffic was routed.
-	resp, err := http.Get(base + "/v1/sum?range=0,0:31,31")
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		return fmt.Errorf("/v1/sum: status %d", resp.StatusCode)
-	}
-
 	var wl struct {
-		Profile *struct {
-			Enabled bool   `json:"enabled"`
-			Reads   uint64 `json:"reads"`
-			Writes  uint64 `json:"writes"`
-			Heatmap *struct {
-				Grid      int      `json:"grid"`
-				Read      []uint64 `json:"read"`
-				Write     []uint64 `json:"write"`
-				ReadDim0  []uint64 `json:"read_dim0"`
-				WriteDim0 []uint64 `json:"write_dim0"`
-			} `json:"heatmap"`
-			ExtentLog2 [][]uint64 `json:"extent_log2"`
-		} `json:"profile"`
 		Capture *struct {
 			Attached *bool `json:"attached"`
 		} `json:"capture"`
 	}
-	resp, err = http.Get(base + "/v1/workload")
+	resp, err := http.Get(base + "/v1/workload")
 	if err != nil {
 		return err
 	}
@@ -342,26 +316,6 @@ func checkWorkload(base string) error {
 	if err != nil || resp.StatusCode != 200 {
 		return fmt.Errorf("/v1/workload: status %d (err %v)", resp.StatusCode, err)
 	}
-	if wl.Profile == nil || !wl.Profile.Enabled {
-		return fmt.Errorf("/v1/workload profile missing or disabled")
-	}
-	if wl.Profile.Reads == 0 || wl.Profile.Writes == 0 {
-		return fmt.Errorf("/v1/workload counted reads=%d writes=%d after mixed traffic",
-			wl.Profile.Reads, wl.Profile.Writes)
-	}
-	hm := wl.Profile.Heatmap
-	if hm == nil || hm.Grid <= 0 {
-		return fmt.Errorf("/v1/workload heatmap missing")
-	}
-	cells := hm.Grid * hm.Grid
-	if len(hm.Read) != cells || len(hm.Write) != cells ||
-		len(hm.ReadDim0) != hm.Grid || len(hm.WriteDim0) != hm.Grid {
-		return fmt.Errorf("/v1/workload heatmap planes inconsistent with grid %d: read=%d write=%d read_dim0=%d write_dim0=%d",
-			hm.Grid, len(hm.Read), len(hm.Write), len(hm.ReadDim0), len(hm.WriteDim0))
-	}
-	if len(wl.Profile.ExtentLog2) != 2 {
-		return fmt.Errorf("/v1/workload extent_log2 has %d dims, want 2", len(wl.Profile.ExtentLog2))
-	}
 	if wl.Capture == nil || wl.Capture.Attached == nil || *wl.Capture.Attached {
 		return fmt.Errorf("/v1/workload capture block wrong: %+v", wl.Capture)
 	}
@@ -369,9 +323,10 @@ func checkWorkload(base string) error {
 }
 
 // checkTraces validates the one GET /v1/trace shape after the traffic
-// above, all of it sampled: every retained trace has an op and a
-// non-empty span tree; a cube-layer trace's root span is named by its
-// op (the /v1/sum read leaves a rangesum trace), and a request trace's
+// above and one range sum, all of it sampled: every retained trace has
+// an op and a non-empty span tree; a cube-layer trace's root span is
+// named by its op (the range sum leaves a rangesum trace), and a
+// request trace's
 // root is "http <path>" (the EXPLAIN request leaves one).
 func checkTraces(base string) error {
 	var ring struct {
@@ -380,7 +335,16 @@ func checkTraces(base string) error {
 			Spans []spanNode `json:"spans"`
 		} `json:"traces"`
 	}
-	resp, err := http.Get(base + "/v1/trace")
+	// One plain range sum, which leaves a rangesum trace.
+	resp, err := http.Get(base + "/v1/sum?range=0,0:31,31")
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		return fmt.Errorf("/v1/sum: status %d", resp.StatusCode)
+	}
+	resp, err = http.Get(base + "/v1/trace")
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,11 @@
 // sensitive checksums, shuts the server down gracefully (which flushes
 // the capture), then replays the capture with ddcbench -replay under
 // every prefix-sum backend and requires the replayed checksums to match
-// the live ones bit-exactly. Standard library only.
+// the live ones bit-exactly, and the replay's offline profile to count
+// the traffic it drove. It runs the same traffic twice: against a plain
+// in-memory cube, and against a durable store behind the buffered write
+// front with an hour-long merger interval, so no write reaches the tree
+// before the shutdown drain. Standard library only.
 //
 //	go build -o /tmp/ddcserver ./cmd/ddcserver
 //	go build -o /tmp/ddcbench ./cmd/ddcbench
@@ -60,12 +64,37 @@ func (c *checksums) mix(v int64) {
 	c.xor ^= uint64(v)
 }
 
+// The traffic drive sends: 24 adds and 2 sets, then 12 range sums and
+// one batch of 3 boxes.
+const (
+	drivenWrites = 26
+	drivenReads  = 15
+)
+
 func run(server, bench string, timeout time.Duration) error {
 	dir, err := os.MkdirTemp("", "wkldsmoke")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
+	if err := pass(server, bench, timeout, filepath.Join(dir, "plain")); err != nil {
+		return fmt.Errorf("in-memory cube: %v", err)
+	}
+	err = pass(server, bench, timeout, filepath.Join(dir, "buffered"),
+		"-data", filepath.Join(dir, "buffered", "data"), "-buffered", "-buffer-flush-interval", "1h")
+	if err != nil {
+		return fmt.Errorf("buffered store: %v", err)
+	}
+	return nil
+}
+
+// pass boots one ddcserver (serverArgs added to its command line) with
+// a capture in dir, drives the traffic, and checks the capture's replay
+// under every backend.
+func pass(server, bench string, timeout time.Duration, dir string, serverArgs ...string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	capture := filepath.Join(dir, "capture.bin")
 
 	port, err := freePort()
@@ -73,11 +102,11 @@ func run(server, bench string, timeout time.Duration) error {
 		return err
 	}
 	base := fmt.Sprintf("http://127.0.0.1:%d", port)
-	cmd := exec.Command(server,
+	cmd := exec.Command(server, append([]string{
 		"-dims", "64,64",
 		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
 		"-workload-capture", capture,
-		"-capture-sample", "1")
+		"-capture-sample", "1"}, serverArgs...)...)
 	cmd.Stderr = os.Stderr
 	cmd.Stdout = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -120,8 +149,29 @@ func run(server, bench string, timeout time.Duration) error {
 			return fmt.Errorf("backend %s: replay (values=%d sum=%d xor=%d) != live (values=%d sum=%d xor=%d)",
 				be, rep.QueryValues, rep.SumsSum, rep.SumsXor, live.values, live.sum, live.xor)
 		}
+		if err := checkProfile(rep.Profile); err != nil {
+			return fmt.Errorf("backend %s: %v", be, err)
+		}
 		fmt.Printf("wkldsmoke: %s replay matches live: %d query values, sum %d, xor %x\n",
 			be, rep.QueryValues, rep.SumsSum, rep.SumsXor)
+	}
+	return nil
+}
+
+// checkProfile requires the replay's offline profile to count the
+// traffic drive sent: every write and every query box once, each on
+// one heatmap cell.
+func checkProfile(p profile) error {
+	var reads, writes uint64
+	for _, n := range p.Heatmap.Read {
+		reads += n
+	}
+	for _, n := range p.Heatmap.Write {
+		writes += n
+	}
+	if p.Writes != drivenWrites || p.Reads != drivenReads || writes != drivenWrites || reads != drivenReads {
+		return fmt.Errorf("profile counts writes=%d reads=%d (planes %d/%d), want %d/%d",
+			p.Writes, p.Reads, writes, reads, drivenWrites, drivenReads)
 	}
 	return nil
 }
@@ -187,11 +237,22 @@ func drive(base string) (*checksums, error) {
 
 // replaySummary mirrors the ddcbench report's replay block.
 type replaySummary struct {
-	Backend     string `json:"backend"`
-	Records     int    `json:"records"`
-	QueryValues int    `json:"query_values"`
-	SumsSum     int64  `json:"sums_sum"`
-	SumsXor     uint64 `json:"sums_xor"`
+	Backend     string  `json:"backend"`
+	Records     int     `json:"records"`
+	QueryValues int     `json:"query_values"`
+	SumsSum     int64   `json:"sums_sum"`
+	SumsXor     uint64  `json:"sums_xor"`
+	Profile     profile `json:"profile"`
+}
+
+// profile is the part of the replay's offline profile checkProfile reads.
+type profile struct {
+	Reads   uint64 `json:"reads"`
+	Writes  uint64 `json:"writes"`
+	Heatmap struct {
+		Read  []uint64 `json:"read"`
+		Write []uint64 `json:"write"`
+	} `json:"heatmap"`
 }
 
 func replay(bench, capture, backend, out string) (*replaySummary, error) {

@@ -58,19 +58,6 @@ func getCoord(n int) *[]int {
 // are built from one Options, so shard 0 speaks for the cube).
 func (s *ShardedCube) be() int { return s.shards[0].c.be }
 
-// workloadBounds supplies the inclusive global domain for the workload
-// heatmap. The sharded fan-out records the global box or point — the
-// per-slab heat merges on the one global heatmap — while the inner
-// shard cubes are marked noProfile (their coordinates are slab-local).
-func (s *ShardedCube) workloadBounds() (lo, hi []int) {
-	lo = make([]int, len(s.dims))
-	hi = make([]int, len(s.dims))
-	for i, n := range s.dims {
-		hi[i] = n - 1
-	}
-	return lo, hi
-}
-
 // Backend returns the canonical name of the prefix-sum backend the
 // shards' row-sum groups use.
 func (s *ShardedCube) Backend() string { return s.shards[0].c.Backend() }
@@ -104,7 +91,6 @@ func NewSharded(dims []int, shards int, opt Options) (*ShardedCube, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.noProfile = true
 		s.shards = append(s.shards, shard{c: c})
 	}
 	return s, nil
@@ -140,7 +126,6 @@ func BuildSharded(dims []int, values []int64, shards int, opt Options) (*Sharded
 			firstErr.set(err)
 			return
 		}
-		c.noProfile = true
 		sh.c = c
 	})
 	if err := firstErr.get(); err != nil {
@@ -289,9 +274,7 @@ func (s *ShardedCube) RangeAdd(lo, hi []int, d int64) error {
 
 // apply is the one mutator behind Set, Add and RangeAdd. A point lands
 // on its shard's cube under the shard's write lock; a box fans out to
-// the shards it overlaps and counts as one logical update. The
-// workload profile records the global coordinates (the shard cubes are
-// noProfile).
+// the shards it overlaps and counts as one logical update.
 func (s *ShardedCube) apply(m logrec.Mutation) error {
 	tel := globalTelemetry
 	on := tel.on()
@@ -333,9 +316,6 @@ func (s *ShardedCube) apply(m logrec.Mutation) error {
 		if err != nil {
 			return err
 		}
-	}
-	if on {
-		tel.workloadWrite(s, m)
 	}
 	return nil
 }
@@ -400,17 +380,7 @@ func (s *ShardedCube) AddBatch(batch []PointDelta) error {
 		tel.recordFanout(len(work))
 		tel.recordUpdate(uOpBatch, s.be(), time.Since(start), merged)
 	}
-	if err := firstErr.get(); err != nil {
-		return err
-	}
-	if on {
-		// Profile the batch with its global coordinates; the shard-local
-		// adds above ran on noProfile inner cubes.
-		for _, pd := range batch {
-			tel.workloadWrite(s, logrec.Mutation{Kind: logrec.Add, Lo: pd.Point, Delta: pd.Delta})
-		}
-	}
-	return nil
+	return firstErr.get()
 }
 
 // FlushPending pushes every shard's outstanding RangeAdd boxes down
@@ -501,7 +471,7 @@ func (s *ShardedCube) Prefix(p []int) int64 {
 		atomic.AddInt64(&total, v)
 	})
 	if on {
-		tel.queryDone(&cubeQuery{op: qOpPrefix, be: s.be(), start: start, lo: p, shards: last + 1, ops: merged, src: s})
+		tel.queryDone(&cubeQuery{op: qOpPrefix, be: s.be(), start: start, lo: p, shards: last + 1, ops: merged})
 	}
 	return total
 }
@@ -532,7 +502,7 @@ func (s *ShardedCube) RangeSum(lo, hi []int) (int64, error) {
 		return err
 	})
 	if on {
-		tel.queryDone(&cubeQuery{op: qOpRange, be: s.be(), start: start, err: err, lo: lo, hi: hi, shards: width, ops: merged, src: s})
+		tel.queryDone(&cubeQuery{op: qOpRange, be: s.be(), start: start, err: err, lo: lo, hi: hi, shards: width, ops: merged})
 	}
 	if err != nil {
 		return 0, err
@@ -672,7 +642,7 @@ func (s *ShardedCube) RangeSumBatchTrace(queries []RangeQuery, out []int64, sc *
 	}
 	if on {
 		tel.queryDone(&cubeQuery{op: qOpBatchRange, be: s.be(), start: start, batch: queries, shards: len(work),
-			ops: merged.AtomicSnapshot(), stats: stats, src: s, sc: sc})
+			ops: merged.AtomicSnapshot(), stats: stats, sc: sc})
 	}
 	return stats, levels, nil
 }

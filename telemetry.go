@@ -15,7 +15,6 @@ import (
 	"ddc/internal/logrec"
 	"ddc/internal/obs"
 	"ddc/internal/psum"
-	"ddc/internal/workload"
 )
 
 // Telemetry is the cube-wide observability surface: a lock-cheap
@@ -112,15 +111,6 @@ type Telemetry struct {
 	slowNs  atomic.Int64
 	traces  *obs.Ring[QueryTrace]
 	seq     atomic.Uint64
-
-	// wl profiles the workload's shape (heatmap, box-extent/volume
-	// histograms, heavy hitters, read/write mix); it records only inside
-	// telemetry-enabled branches, so the disabled fast path is untouched.
-	// capture, when attached, logs sampled operations to a DDCWKLD2 file
-	// for ddcbench -replay.
-	wl           *obs.WorkloadProfiler
-	readPermille *obs.Gauge
-	capture      atomic.Pointer[workload.Capture]
 }
 
 // Query and update operation indices (and their metric labels).
@@ -273,13 +263,6 @@ func NewTelemetry() *Telemetry {
 		"delta drain latency in nanoseconds (freeze to tree-applied)", obs.LatencyBuckets())
 	t.deltaDrainBatch = reg.Histogram("ddc_delta_drain_batch_size",
 		"delta entries applied per drain", obs.ExpBuckets(1, 16))
-	t.wl = obs.NewWorkloadProfiler(
-		reg.Counter("ddc_workload_reads_total",
-			"queries profiled by the workload collectors (boxes and points)"),
-		reg.Counter("ddc_workload_writes_total",
-			"point updates profiled by the workload collectors"))
-	t.readPermille = reg.Gauge("ddc_workload_read_permille",
-		"reads per thousand profiled operations (the read/write mix)")
 	for i, op := range qOpNames {
 		t.sloGood[i] = reg.Counter(fmt.Sprintf("ddc_slo_good_total{op=%q}", op),
 			"requests that met the latency objective, by operation")
@@ -332,20 +315,11 @@ func (t *Telemetry) Enabled() bool { return t.enabled.Load() }
 // on is the hot-path gate: one atomic load.
 func (t *Telemetry) on() bool { return t.enabled.Load() }
 
-// Reset zeroes every metric, discards retained traces, clears the
-// workload collectors (heatmap planes, shape histograms, heavy hitters
-// and the mix counters — the heatmap geometry is dropped too, so it is
-// re-derived from fresh bounds on the next profiled operation) and
-// zeroes an attached capture's progress counters (the capture file
-// itself keeps recording). Sampling and threshold knobs are kept. For
-// tests and benchmark harnesses.
+// Reset zeroes every metric and discards retained traces. Sampling and
+// threshold knobs are kept. For tests and benchmark harnesses.
 func (t *Telemetry) Reset() {
 	t.reg.Reset()
 	t.traces.Reset()
-	t.wl.Reset()
-	if cp := t.capture.Load(); cp != nil {
-		cp.ResetStats()
-	}
 }
 
 // registerDeltaSource adds a buffered front's authoritative depth
@@ -420,9 +394,6 @@ func (t *Telemetry) Traces() []QueryTrace { return t.traces.Snapshot() }
 func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	t.goroutines.Set(int64(runtime.NumGoroutine()))
 	t.refreshDeltaDepth()
-	if reads, writes := t.wl.Reads(), t.wl.Writes(); reads+writes > 0 {
-		t.readPermille.Set(int64(reads * 1000 / (reads + writes)))
-	}
 	return t.reg.WritePrometheus(w)
 }
 
@@ -658,7 +629,7 @@ type cubeQuery struct {
 	op    int // qOpPrefix, qOpRange or qOpBatchRange
 	be    int // psum.Index of the cube's backend
 	start time.Time
-	err   error // a failed query is counted, not profiled or traced
+	err   error // a failed query is counted, not traced
 
 	// lo and hi are a range sum's box; a prefix sets lo to its point.
 	lo, hi []int
@@ -667,9 +638,7 @@ type cubeQuery struct {
 	ops    cube.OpCounter
 	stats  BatchStats
 
-	// src is the profiled domain (nil skips the workload profile); tree,
-	// when set, re-walks a sampled prefix for its level spans.
-	src  workloadDomain
+	// tree, when set, re-walks a sampled prefix for its level spans.
 	tree *core.Tree
 	// sc is a batch caller's live span context: its owner retains that
 	// trace, so none is admitted here.
@@ -677,8 +646,8 @@ type cubeQuery struct {
 }
 
 // queryDone is the one recording call of every cube-layer query: its
-// metrics, its workload profile and, when admitted, its trace. Called
-// only when telemetry is enabled.
+// metrics and, when admitted, its trace. Called only when telemetry is
+// enabled.
 func (t *Telemetry) queryDone(q *cubeQuery) {
 	d := time.Since(q.start)
 	if q.shards > 0 {
@@ -689,20 +658,7 @@ func (t *Telemetry) queryDone(q *cubeQuery) {
 	} else {
 		t.recordQuery(q.op, q.be, d, q.ops)
 	}
-	if q.err != nil {
-		return
-	}
-	if q.src != nil {
-		switch q.op {
-		case qOpPrefix:
-			t.workloadPoint(q.src, q.lo)
-		case qOpRange:
-			t.workloadRange(q.src, q.lo, q.hi)
-		default:
-			t.workloadBatch(q.src, q.batch)
-		}
-	}
-	if q.sc == nil {
+	if q.err == nil && q.sc == nil {
 		t.admitQuery(q, d)
 	}
 }
@@ -876,116 +832,4 @@ func (t *Telemetry) RecordStoreCheckpoint(d time.Duration) {
 	}
 	t.storeCheckpoints.Inc()
 	t.storeCheckpointLat.Observe(uint64(d.Nanoseconds()))
-}
-
-// ---------------------------------------------------------------------
-// Workload profiling and capture
-
-// workloadDomain supplies a cube's inclusive domain bounds lazily: the
-// profiler asks once, when the heatmap geometry is first needed, so the
-// hot path never re-derives bounds (DynamicCube.Bounds allocates).
-type workloadDomain interface {
-	workloadBounds() (lo, hi []int)
-}
-
-// Workload returns the workload profiler (heatmap, shape histograms,
-// heavy hitters, read/write mix). It records only while telemetry is
-// enabled; use its SetEnabled to quiet the collectors independently.
-func (t *Telemetry) Workload() *obs.WorkloadProfiler { return t.wl }
-
-// WorkloadSnapshot returns the current workload profile. Enabled
-// reports whether the collectors are actually recording: the profiler's
-// own switch AND the telemetry gate (hooks sit strictly inside the
-// telemetry-enabled branch, so a disabled gate means nothing records
-// regardless of the profiler's flag).
-func (t *Telemetry) WorkloadSnapshot() obs.WorkloadSnapshot {
-	snap := t.wl.Snapshot()
-	snap.Enabled = snap.Enabled && t.enabled.Load()
-	return snap
-}
-
-// AttachCapture directs every profiled operation into the capture
-// (updates always, queries subject to the capture's sampling); nil
-// detaches. Capture records only while telemetry is enabled — the
-// disabled fast path stays one atomic flag load. The previous capture,
-// if any, is returned so the caller can Close it.
-func (t *Telemetry) AttachCapture(c *workload.Capture) *workload.Capture {
-	return t.capture.Swap(c)
-}
-
-// CaptureStats reports the attached capture's progress; ok is false
-// when no capture is attached.
-func (t *Telemetry) CaptureStats() (stats workload.CaptureStats, ok bool) {
-	cp := t.capture.Load()
-	if cp == nil {
-		return workload.CaptureStats{}, false
-	}
-	return cp.Stats(), true
-}
-
-// ensureWorkloadDomain configures the heatmap geometry on first use.
-func (t *Telemetry) ensureWorkloadDomain(src workloadDomain) {
-	if !t.wl.HasDomain() {
-		lo, hi := src.workloadBounds()
-		t.wl.SetDomain(lo, hi)
-	}
-}
-
-// workloadRange profiles one range-query box (and captures it when a
-// capture is attached). Called only from telemetry-enabled branches.
-func (t *Telemetry) workloadRange(src workloadDomain, lo, hi []int) {
-	if t.wl.Enabled() {
-		t.ensureWorkloadDomain(src)
-		t.wl.RecordRead(lo, hi)
-	}
-	if cp := t.capture.Load(); cp != nil {
-		cp.RangeSum(lo, hi)
-	}
-}
-
-// workloadPoint profiles one point query (a prefix sum).
-func (t *Telemetry) workloadPoint(src workloadDomain, p []int) {
-	if t.wl.Enabled() {
-		t.ensureWorkloadDomain(src)
-		t.wl.RecordPoint(p)
-	}
-	if cp := t.capture.Load(); cp != nil {
-		cp.Prefix(p)
-	}
-}
-
-// workloadWrite profiles one update — a point write or a box write
-// heats the write plane — and lands it in the capture stream, where
-// updates are never sampled (replay must reproduce cube state).
-func (t *Telemetry) workloadWrite(src workloadDomain, m logrec.Mutation) {
-	if t.wl.Enabled() {
-		t.ensureWorkloadDomain(src)
-		if m.Kind.Box() {
-			t.wl.RecordWriteBox(m.Lo, m.Hi)
-		} else {
-			t.wl.RecordWrite(m.Lo)
-		}
-	}
-	if cp := t.capture.Load(); cp != nil {
-		cp.Update(m)
-	}
-}
-
-// workloadBatch profiles one batched range-sum call: every box heats
-// the map and shape histograms individually; the capture logs the call
-// as a single batch record (one query event for sampling).
-func (t *Telemetry) workloadBatch(src workloadDomain, queries []RangeQuery) {
-	if t.wl.Enabled() {
-		t.ensureWorkloadDomain(src)
-		for i := range queries {
-			t.wl.RecordRead(queries[i].Lo, queries[i].Hi)
-		}
-	}
-	if cp := t.capture.Load(); cp != nil {
-		qs := make([]workload.Query, len(queries))
-		for i, q := range queries {
-			qs[i] = workload.Query{Lo: q.Lo, Hi: q.Hi}
-		}
-		cp.Batch(qs)
-	}
 }

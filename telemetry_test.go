@@ -132,6 +132,46 @@ func TestTelemetryDisabledRecordsNothing(t *testing.T) {
 	}
 }
 
+// TestWorkloadDisabledPathAllocs pins the telemetry-off read paths a
+// replayed workload drives (Prefix, RangeSum, Get and a batch) at 0
+// allocs/op: the only cost the disabled gate adds is its atomic load.
+func TestWorkloadDisabledPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime defeats sync.Pool reuse; counts would measure the detector")
+	}
+	if GlobalTelemetry().Enabled() {
+		t.Fatal("telemetry should be disabled")
+	}
+	c, err := BuildDynamic([]int{64, 64}, seqVals(64*64), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := []int{3, 5}, []int{60, 59}
+	queries := []RangeQuery{{Lo: []int{0, 0}, Hi: []int{31, 31}}, {Lo: []int{16, 16}, Hi: []int{47, 47}}}
+	out := make([]int64, len(queries))
+	if err := c.RangeSumBatchInto(queries, out); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func(){
+		"Prefix": func() { _ = c.Prefix(hi) },
+		"RangeSum": func() {
+			if _, err := c.RangeSum(lo, hi); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Get": func() { _ = c.Get([]int{17, 23}) },
+		"RangeSumBatchInto": func() {
+			if err := c.RangeSumBatchInto(queries, out); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		if a := testing.AllocsPerRun(100, read); a != 0 {
+			t.Errorf("%s allocates %.1f/op with telemetry off", name, a)
+		}
+	}
+}
+
 func TestTelemetryTraceSamplingAndSlowLog(t *testing.T) {
 	tel := withTelemetry(t)
 	tel.SetTraceSampling(1) // trace everything
