@@ -334,6 +334,41 @@ func TestDenseBulkCubeHeap(t *testing.T) {
 	}
 }
 
+// TestHighDimDefaultCubeHeap guards the default tile above four
+// dimensions, where no BenchmarkTile row backs tile 8. A leaf is a dense
+// tile^d slab of int64, and a cube of side 2 pads to a single leaf, so
+// one Add to a default cube allocates that slab. It must stay within two
+// tile-4 slabs (16 KiB at d = 5, 1 MiB at d = 8); a tile-8 leaf is 256
+// KiB at d = 5 and 128 MiB at d = 8.
+func TestHighDimDefaultCubeHeap(t *testing.T) {
+	runtime.GC() // frees sync.Pool victims, so the first baseline is settled
+	for _, d := range []int{5, 6, 8} {
+		dims := make([]int, d)
+		for i := range dims {
+			dims[i] = 2
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := NewDynamic(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Add(make([]int, d), 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		budget := int64(2 * 8 << (2 * d)) // two tile-4 slabs: 2 x 8 B x 4^d
+		t.Logf("d = %d: tile %d, live heap %d B (budget %d)", d, c.Options().Tile, live, budget)
+		if live > budget {
+			t.Fatalf("d = %d default cube holds %d B live after one Add: over %d B", d, live, budget)
+		}
+	}
+}
+
 // seqVals returns 0,1,2,... — a dense bulk-load payload.
 func seqVals(n int) []int64 {
 	vals := make([]int64, n)

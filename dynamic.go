@@ -12,12 +12,16 @@ import (
 )
 
 // Options tunes a DynamicCube. The zero value selects the defaults
-// (tile side 4, B_c fanout 16, fixed domain).
+// (tile side 8 up to four dimensions and 4 above, B_c fanout 16, fixed
+// domain).
 type Options struct {
-	// Tile is the leaf tile side, a power of two. Tile = 1 is the
-	// paper's full tree; larger values elide the densest tree levels
-	// (the Section 4.4 storage optimization) at the cost of up to
-	// Tile^d cell adds per query.
+	// Tile is the leaf tile side, a power of two; 0 selects
+	// core.DefaultTile(d), 8 up to four dimensions and 4 above, for
+	// NewDynamic and BuildDynamic alike. Tile = 1 is the paper's full
+	// tree; larger values elide the densest tree levels (the Section 4.4
+	// storage optimization) at the cost of up to Tile^d cell adds per
+	// query. A snapshot records its tile and loads with it, whatever
+	// the default.
 	Tile int
 	// Fanout is the B_c tree fanout used by the two-dimensional
 	// row-sum groups (minimum 3).

@@ -265,39 +265,52 @@ func TestQueryCostIsPolylogarithmic(t *testing.T) {
 }
 
 func TestGrowAfter(t *testing.T) {
-	tr, err := New([]int{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Set(grid.Point{1, 1}, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Grow([]bool{false, false}); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := tr.Bounds()
-	if !lo.Equal(grid.Point{0, 0}) || !hi.Equal(grid.Point{8, 8}) {
-		t.Fatalf("bounds after grow = [%v, %v)", lo, hi)
-	}
-	if err := tr.Set(grid.Point{6, 6}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Total(); got != 8 {
-		t.Fatalf("Total = %d, want 8", got)
-	}
-	if got := tr.Prefix(grid.Point{7, 7}); got != 8 {
-		t.Fatalf("Prefix = %d, want 8", got)
-	}
-	if got := tr.Prefix(grid.Point{1, 1}); got != 5 {
-		t.Fatalf("Prefix(1,1) = %d, want 5", got)
-	}
-	if got := tr.Get(grid.Point{1, 1}); got != 5 {
-		t.Fatalf("Get after grow = %d", got)
+	// A 4-wide domain pads to the tile side (4 at tile 4, DefaultTile(2)
+	// = 8 under the default), and one grow doubles the padded side.
+	for _, tc := range []struct {
+		name       string
+		tile, side int
+	}{
+		{"tile4", 4, 8},
+		{"default", 0, 2 * DefaultTile(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := NewWithConfig([]int{4, 4}, Config{Tile: tc.tile})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Set(grid.Point{1, 1}, 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Grow([]bool{false, false}); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := tr.Bounds()
+			if !lo.Equal(grid.Point{0, 0}) || !hi.Equal(grid.Point{tc.side, tc.side}) {
+				t.Fatalf("bounds after grow = [%v, %v), want [0 0, %d %d)", lo, hi, tc.side, tc.side)
+			}
+			if err := tr.Set(grid.Point{6, 6}, 3); err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.Total(); got != 8 {
+				t.Fatalf("Total = %d, want 8", got)
+			}
+			if got := tr.Prefix(grid.Point{7, 7}); got != 8 {
+				t.Fatalf("Prefix = %d, want 8", got)
+			}
+			if got := tr.Prefix(grid.Point{1, 1}); got != 5 {
+				t.Fatalf("Prefix(1,1) = %d, want 5", got)
+			}
+			if got := tr.Get(grid.Point{1, 1}); got != 5 {
+				t.Fatalf("Get after grow = %d", got)
+			}
+		})
 	}
 }
 
 func TestGrowBeforeNegativeCoordinates(t *testing.T) {
-	tr, err := New([]int{4, 4})
+	// Tile 4: the expected bounds assume a 4-wide domain pads to 4.
+	tr, err := NewWithConfig([]int{4, 4}, Config{Tile: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,8 +80,9 @@ func TestVeryAsymmetricDims(t *testing.T) {
 }
 
 func TestGrowOnceOnlyDim(t *testing.T) {
-	// Repeated growth in one direction only.
-	tr, err := NewWithConfig([]int{4}, Config{AutoGrow: true})
+	// Repeated growth in one direction only. Tile 4: the expected
+	// bounds assume a 4-wide domain pads to 4.
+	tr, err := NewWithConfig([]int{4}, Config{Tile: 4, AutoGrow: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,11 +48,19 @@ import (
 	"ddc/internal/psum"
 )
 
-// Defaults for Config fields left zero.
-const (
-	DefaultTile   = 4
-	DefaultFanout = bctree.DefaultFanout
-)
+// DefaultFanout is the B_c fanout a zero Config.Fanout selects.
+const DefaultFanout = bctree.DefaultFanout
+
+// DefaultTile returns the leaf tile side a d-dimensional tree takes
+// when Config.Tile is 0: 8 up to d = 4, where BenchmarkTile's rows back
+// it, and 4 above. A leaf is a dense tile^d slab, and a tile-8 leaf
+// would be 256 KiB at d = 5 and 128 MiB at d = 8.
+func DefaultTile(d int) int {
+	if d <= 4 {
+		return 8
+	}
+	return 4
+}
 
 // maxSide caps the padded domain side so runaway growth is an error
 // rather than an overflow.
@@ -63,9 +71,9 @@ var ErrTooLarge = errors.New("core: domain too large")
 
 // Config tunes a Dynamic Data Cube. The zero value selects the defaults.
 type Config struct {
-	// Tile is the leaf tile side (power of two). Tile = 1 is the paper's
-	// full tree; larger tiles elide the h = log2(Tile) densest levels
-	// (Section 4.4).
+	// Tile is the leaf tile side (power of two); 0 selects
+	// DefaultTile(d). Tile = 1 is the paper's full tree; larger tiles
+	// elide the h = log2(Tile) densest levels (Section 4.4).
 	Tile int
 	// Fanout is the B_c tree fanout used by two-dimensional groups.
 	// Only the classic backend (and auto groups still in the classic
@@ -87,9 +95,9 @@ type Config struct {
 	Backend string
 }
 
-func (c Config) withDefaults() (Config, error) {
+func (c Config) withDefaults(d int) (Config, error) {
 	if c.Tile == 0 {
-		c.Tile = DefaultTile
+		c.Tile = DefaultTile(d)
 	}
 	if c.Fanout == 0 {
 		c.Fanout = DefaultFanout
@@ -208,7 +216,7 @@ func NewWithConfig(dims []int, cfg Config) (*Tree, error) {
 	if _, err := grid.NewExtent(dims); err != nil {
 		return nil, err
 	}
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.withDefaults(len(dims))
 	if err != nil {
 		return nil, err
 	}

@@ -179,7 +179,7 @@ func cmdBuild(args []string, stdout, stderr io.Writer) error {
 	csvPath := fs.String("csv", "", "input CSV (coordinates..., value); \"-\" for stdin")
 	out := fs.String("o", "", "output snapshot path")
 	header := fs.Bool("header", false, "skip the first CSV row")
-	tile := fs.Int("tile", 0, "leaf tile side (power of two; 0 = default)")
+	tile := fs.Int("tile", 0, "leaf tile side, a power of two (0 = the default: 8 up to 4 dimensions, 4 above)")
 	fanout := fs.Int("fanout", 0, "B_c tree fanout (0 = default)")
 	autogrow := fs.Bool("autogrow", false, "grow the cube for out-of-range rows")
 	compact := fs.Bool("compact", false, "write the varint (DDCSNAP2) snapshot format")

@@ -461,7 +461,7 @@ func (x *scratch) sumsFor(n int) []int64 {
 // keeps its buffer for the next request.
 func (x *scratch) send(w http.ResponseWriter, b []byte) {
 	x.out = b[:0]
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
 }

@@ -275,13 +275,21 @@ func (s *Server) AttachCapture(c *workload.Capture) *workload.Capture {
 }
 
 // statusWriter captures the response status for the tracing middleware
-// and carries the request's trace to the handlers.
+// and carries the request's trace to the handlers. ServeHTTP takes one
+// from statusWriters per request and returns it when the handler is
+// done; no handler keeps its writer past its own return.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	sc     *obs.SpanContext
 	span   obs.SpanID
 }
+
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
+
+// jsonContentType is the preset Content-Type value slice of every JSON
+// response. It is shared and never written.
+var jsonContentType = []string{"application/json"}
 
 // requestSpan returns the request's trace and its root span, or (nil,
 // NoSpan) when the request is untraced (telemetry off: the handler got
@@ -335,16 +343,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	root := sc.Start(name, obs.NoSpan)
 	w.Header()["Traceparent"] = []string{sc.Traceparent(root)}
-	sw := &statusWriter{ResponseWriter: w, sc: sc, span: root}
+	sw := statusWriters.Get().(*statusWriter)
+	*sw = statusWriter{ResponseWriter: w, sc: sc, span: root}
 	s.mux.ServeHTTP(sw, r)
 	sc.End(root)
+	status := sw.status
+	*sw = statusWriter{}
+	statusWriters.Put(sw)
 	// The record's start and duration are the root span's own stamps, so
 	// a retained trace's duration_ns equals its root span's.
 	start, d := sc.Interval(root)
-	if sw.status >= http.StatusInternalServerError {
+	if status >= http.StatusInternalServerError {
 		s.log.Error("request failed",
 			"trace_id", sc.TraceID(), "path", r.URL.Path,
-			"status", sw.status, "duration", d)
+			"status", status, "duration", d)
 	}
 	// Offer the span tree only when the request recorded spans beyond
 	// the root (batch stages, per-slab fan-out, WAL commits): a
@@ -369,7 +381,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // writeJSON writes a JSON response body.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

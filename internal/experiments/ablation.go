@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"ddc/internal/bctree"
@@ -59,7 +60,8 @@ func BulkAblation(w io.Writer) error {
 
 // TileAblation sweeps the leaf tile side (tile = 2^h elides the h
 // densest levels) over a fixed workload and reports the storage/query/
-// update trade-off Section 4.4 describes.
+// update trade-off Section 4.4 describes, in counted cells and in the
+// live bytes and nanoseconds they cost.
 func TileAblation(w io.Writer) error {
 	const n = 256
 	dims2 := []int{n, n}
@@ -70,10 +72,14 @@ func TileAblation(w io.Writer) error {
 		queries[i] = grid.Point{r.Intn(n), r.Intn(n)}
 	}
 	t := &Table{
-		Title:   "Leaf tile side sweep (d=2, n=256, 3000 uniform updates)",
-		Headers: []string{"tile (2^h)", "elided levels h", "storage cells", "query cost", "update cost"},
+		Title: "Leaf tile side sweep (d=2, n=256, 3000 uniform updates)",
+		Headers: []string{"tile (2^h)", "elided levels h", "storage cells", "live heap B",
+			"query cost", "ns/query", "update cost", "ns/update"},
 	}
 	for _, tile := range []int{1, 2, 4, 8, 16} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		ddc, err := core.NewWithConfig(dims2, core.Config{Tile: tile, Backend: paperBackend})
 		if err != nil {
 			return err
@@ -97,15 +103,43 @@ func TileAblation(w io.Writer) error {
 		}
 		o = ddc.Ops()
 		upd := float64(o.UpdateCells+o.NodeVisits) / float64(len(queries))
-		h := grid.Log2(tile)
-		t.AddRow(tile, h, ddc.StorageCells(), qry, upd)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		storage := ddc.StorageCells()
+
+		// Timed passes, after the counted ones: adding 1 and then -1 at
+		// the query points leaves storage and values as counted.
+		start := time.Now()
+		for i := 0; i < tileTimedPasses; i++ {
+			for _, q := range queries {
+				ddc.Prefix(q)
+			}
+		}
+		qryNs := float64(time.Since(start).Nanoseconds()) / float64(tileTimedPasses*len(queries))
+		start = time.Now()
+		for i := 0; i < tileTimedPasses; i++ {
+			for _, q := range queries {
+				if err := ddc.Add(q, int64(1-2*(i%2))); err != nil {
+					return err
+				}
+			}
+		}
+		updNs := float64(time.Since(start).Nanoseconds()) / float64(tileTimedPasses*len(queries))
+		t.AddRow(tile, grid.Log2(tile), storage, live, qry, qryNs, upd, updNs)
 	}
 	t.Notes = []string{
 		"larger tiles delete the densest levels: storage and update cost fall,",
-		"while queries pay up to tile^d extra leaf adds (Section 4.4's balance)",
+		"while queries pay up to tile^d extra leaf adds (Section 4.4's balance);",
+		"live heap and ns show what the counted cells cost in the slab layout",
 	}
 	return t.Render(w)
 }
+
+// tileTimedPasses is how many passes over its 300 points TileAblation
+// times per tile, for each of queries and updates (even, so the updates
+// cancel).
+const tileTimedPasses = 20
 
 // FanoutAblation sweeps the B_c tree fanout over a large row-sum set.
 func FanoutAblation(w io.Writer) error {

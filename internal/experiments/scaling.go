@@ -31,6 +31,10 @@ func init() {
 // default. sec5sparse and rangeaddcost stay on the default.
 const paperBackend = "classic"
 
+// rangeCostTile pins RangeCost's leaf tile to the side its counts were
+// recorded at, so a change of the shipped default does not move them.
+const rangeCostTile = 4
+
 // RangeCost measures how range-sum cost scales with the volume of the
 // queried box: the naive method sums every covered cell (Section 2's
 // O(n^d) query), while every prefix-based method pays only its
@@ -39,7 +43,7 @@ func RangeCost(w io.Writer) error {
 	const n = 512
 	dims2 := dims(2, n)
 	a := cube.MustNew(dims2...)
-	ddcT, err := core.NewWithConfig(dims2, core.Config{Backend: paperBackend})
+	ddcT, err := core.NewWithConfig(dims2, core.Config{Tile: rangeCostTile, Backend: paperBackend})
 	if err != nil {
 		return err
 	}

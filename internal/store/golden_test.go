@@ -18,7 +18,7 @@ import (
 
 var goldenCkptOpts = Options{
 	Dims:                  []int{4, 4},
-	Cube:                  ddc.Options{AutoGrow: true},
+	Cube:                  ddc.Options{Tile: 4, AutoGrow: true}, // the fixture was written at tile 4
 	DisableAutoCheckpoint: true,
 	NoSync:                true,
 }
@@ -76,6 +76,11 @@ func TestGoldenCheckpointRecovers(t *testing.T) {
 		t.Fatalf("recovery = %+v, want snapshot 1 and no records", r)
 	}
 	got, want := s.Cube(), goldenCube(t)
+	// Opened with no cube options, the file keeps the tile it was
+	// written at, whatever the default.
+	if tile := got.Options().Tile; tile != want.Options().Tile {
+		t.Fatalf("recovered tile = %d, want the fixture's %d", tile, want.Options().Tile)
+	}
 	glo, ghi := got.Bounds()
 	wlo, whi := want.Bounds()
 	if !slices.Equal(glo, wlo) || !slices.Equal(ghi, whi) {
