@@ -94,35 +94,12 @@ func NewDynamicWithOptions(dims []int, opt Options) (*DynamicCube, error) {
 }
 
 // BuildDynamic bulk-loads a Dynamic Data Cube from dense row-major
-// values (len(values) must equal the product of dims). Construction is
-// bottom-up — several times faster and far fewer allocations than
-// replaying one Add per cell — and the result is identical to the
-// incremental path.
+// values (len(values) must equal the product of dims), reading them in
+// place. Construction is bottom-up, one pass over the cells — tens of
+// times faster and far fewer allocations than replaying one Add per
+// cell — and the result is identical to the incremental path.
 func BuildDynamic(dims []int, values []int64, opt Options) (*DynamicCube, error) {
-	a, err := cube.FromValues(dims, values)
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.BuildFromArray(a, core.Config{
-		Tile:     opt.Tile,
-		Fanout:   opt.Fanout,
-		AutoGrow: opt.AutoGrow,
-		Backend:  opt.Backend,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newDynamicCube(t), nil
-}
-
-// BuildDynamicParallel is BuildDynamic with the 2^d top-level subtrees
-// constructed concurrently; the result is identical.
-func BuildDynamicParallel(dims []int, values []int64, opt Options) (*DynamicCube, error) {
-	a, err := cube.FromValues(dims, values)
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.BuildFromArrayParallel(a, core.Config{
+	t, err := core.BuildFromValues(dims, values, core.Config{
 		Tile:     opt.Tile,
 		Fanout:   opt.Fanout,
 		AutoGrow: opt.AutoGrow,

@@ -62,17 +62,6 @@ func (s *slab[T]) alloc(n int) int32 {
 	return int32(s.open << pageShift)
 }
 
-// base is the address offset of the next page appended to s.
-func (s *slab[T]) base() int32 { return int32(len(s.pages) << pageShift) }
-
-// absorb appends src's pages behind s's; see arena.adopt.
-func (s *slab[T]) absorb(src *slab[T]) {
-	if len(s.pages)+len(src.pages) > maxPages {
-		panic(fmt.Sprintf("core: arena slab exceeds %d pages", maxPages))
-	}
-	s.pages = append(s.pages, src.pages...)
-}
-
 // at returns the element at address a. Records come in blocks of at
 // most 2^d, never in an oversized page, so a block member's address is
 // the block's plus its index.
@@ -192,73 +181,4 @@ func (ar *arena) flatten(b *boxRec, k int) {
 	gs[0], gs[1] = group{}, group{}
 	ar.free = append(ar.free, b.ref)
 	b.ref, b.kind = ref, boxFlat
-}
-
-// arenaBases are the address offsets that move a donor arena's
-// addresses past the pages a recipient already holds.
-type arenaBases struct {
-	nodes, boxes, cells, leaves, side int32
-}
-
-func rebase(a, base int32) int32 {
-	if a < 0 {
-		return a
-	}
-	return a + base
-}
-
-func (b arenaBases) node(n nodeRec) nodeRec {
-	return nodeRec{rebase(n.child, b.nodes), rebase(n.box, b.boxes), rebase(n.leaf, b.leaves)}
-}
-
-func (b arenaBases) box(x boxRec) boxRec {
-	switch x.kind {
-	case boxFlat:
-		x.ref = rebase(x.ref, b.cells)
-	case boxSide:
-		x.ref = rebase(x.ref, b.side)
-	}
-	return x
-}
-
-// adopt moves every page of src into ar without copying a cell: the
-// donor's addresses are rebased in place and its pages appended behind
-// ar's. Nested trees built in src are
-// repointed at ar. The returned bases rebase records src handed out
-// before the move (the parallel build's subtree roots).
-func (ar *arena) adopt(src *arena) arenaBases {
-	b := arenaBases{
-		nodes:  ar.nodes.base(),
-		boxes:  ar.boxes.base(),
-		cells:  ar.cells.base(),
-		leaves: ar.leaves.base(),
-		side:   ar.side.base(),
-	}
-	for _, pg := range src.nodes.pages {
-		for i := range pg {
-			pg[i] = b.node(pg[i])
-		}
-	}
-	for _, pg := range src.boxes.pages {
-		for i := range pg {
-			pg[i] = b.box(pg[i])
-		}
-	}
-	for _, pg := range src.side.pages {
-		for i := range pg {
-			if tr := pg[i].tr; tr != nil {
-				tr.ar = ar
-				tr.root = rebase(tr.root, b.nodes)
-			}
-		}
-	}
-	for _, a := range src.free {
-		ar.free = append(ar.free, rebase(a, b.side))
-	}
-	ar.nodes.absorb(&src.nodes)
-	ar.boxes.absorb(&src.boxes)
-	ar.cells.absorb(&src.cells)
-	ar.leaves.absorb(&src.leaves)
-	ar.side.absorb(&src.side)
-	return b
 }

@@ -106,8 +106,8 @@ func TestArenaSlabRegions(t *testing.T) {
 // TestConcurrentArenaReaders runs concurrent readers over trees whose
 // arenas hold every box kind — flat and side-table boxes from clustered
 // Adds, delegating boxes from growth, nested cubes at d = 3 from a
-// parallel bulk build that adopted its subtrees' pages — and requires
-// every goroutine to see the answers a sequential pass computed.
+// bulk build — and requires every goroutine to see the answers a
+// sequential pass computed.
 func TestConcurrentArenaReaders(t *testing.T) {
 	grown, err := NewWithConfig([]int{64, 64}, Config{AutoGrow: true})
 	if err != nil {
@@ -124,7 +124,7 @@ func TestConcurrentArenaReaders(t *testing.T) {
 	if k := boxKinds(grown); k[boxFlat] == 0 || k[boxSide] == 0 || k[boxDelegate] == 0 {
 		t.Fatalf("grown tree box kinds %v: want flat, side and delegating boxes", k)
 	}
-	nested, err := BuildFromArrayParallel(randomArray(t, []int{16, 16, 16}, 8), Config{Tile: 2})
+	nested, err := BuildFromArray(randomArray(t, []int{16, 16, 16}, 8), Config{Tile: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

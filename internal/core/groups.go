@@ -40,7 +40,7 @@ func (t *Tree) initBox(b *boxRec, k int) {
 		b.kind, b.ref = boxSide, t.ar.allocSide(t.d)
 		gs := t.ar.side.region(b.ref, 0, t.d)
 		for j := range gs {
-			gs[j] = group{tr: newNested(dims, t.cfg, t.ar, t.ops)}
+			gs[j] = group{tr: t.newNested(dims)}
 		}
 	}
 }

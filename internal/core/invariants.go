@@ -24,7 +24,8 @@ import (
 //     coordinate, exactly the cumulative row sums Section 3.1 defines;
 //   - padding outside the declared bounds holds no data.
 //
-// It is O(cells * groups) and intended for tests, not production paths.
+// It is O(n^d) per tree level (a dense prefix table per box) and
+// intended for tests, not production paths.
 func (t *Tree) CheckInvariants() error {
 	var c claims
 	for _, a := range t.ar.free {
@@ -217,21 +218,48 @@ func (t *Tree) checkNode(nd int32, anchor grid.Point, ext int) (int64, error) {
 	return total, nil
 }
 
-// checkGroups verifies every face value the box can be asked for.
+// checkGroups verifies every face value the box can be asked for
+// against the raw cells below its child.
 func (t *Tree) checkGroups(child int32, b *boxRec, boxAnchor grid.Point, k int) error {
-	// Collect the raw cells below the child once.
-	raw := map[string]int64{}
+	// Collect the raw cells below the child once, row-major in the box,
+	// then run a sum along each dimension: pre[m] becomes
+	// SUM(A[boxAnchor] : A[boxAnchor+m]).
+	cells := 1
+	for i := 0; i < t.d; i++ {
+		cells *= k
+	}
+	pre := make([]int64, cells)
 	t.forEachInRangeRec(t.ar, child, boxAnchor, k, nil, nil, func(p grid.Point, v int64) bool {
-		raw[p.String()] = v
+		off := 0
+		for i := 0; i < t.d; i++ {
+			off = off*k + p[i] - boxAnchor[i]
+		}
+		pre[off] = v
 		return true
 	})
-	// For each dimension j and each local face coordinate, compare the
-	// group's prefix answer to a direct sum over raw cells.
+	for i, stride := t.d-1, 1; i >= 0; i, stride = i-1, stride*k {
+		for off := range pre {
+			if off/stride%k != 0 {
+				pre[off] += pre[off-stride]
+			}
+		}
+	}
+	// For each dimension j and each local face coordinate l, compare the
+	// group's prefix answer to the raw prefix at m_j = k-1 and the other
+	// components of m given by l.
 	var ops cube.OpCounter
 	for j := 0; j < t.d; j++ {
 		l := make([]int, t.d-1)
 		for {
-			want := t.rawFaceValue(raw, boxAnchor, k, j, l)
+			off, li := 0, 0
+			for i := 0; i < t.d; i++ {
+				m := k - 1
+				if i != j {
+					m, li = l[li], li+1
+				}
+				off = off*k + m
+			}
+			want := pre[off]
 			got := t.boxPrefix(b, k, j, l, &ops)
 			if got != want {
 				return fmt.Errorf("box at %v k=%d: group %d prefix(%v) = %d, want %d",
@@ -252,37 +280,4 @@ func (t *Tree) checkGroups(child int32, b *boxRec, boxAnchor grid.Point, k int) 
 		}
 	}
 	return nil
-}
-
-// rawFaceValue computes SUM(A[boxAnchor] : A[boxAnchor+m]) with
-// m_j = k-1 and the other components given by l, directly from the raw
-// cell map.
-func (t *Tree) rawFaceValue(raw map[string]int64, boxAnchor grid.Point, k, j int, l []int) int64 {
-	hi := make(grid.Point, t.d)
-	li := 0
-	for i := 0; i < t.d; i++ {
-		if i == j {
-			hi[i] = boxAnchor[i] + k - 1
-		} else {
-			hi[i] = boxAnchor[i] + l[li]
-			li++
-		}
-	}
-	var s int64
-	var sum func(dim int, p grid.Point)
-	p := boxAnchor.Clone()
-	sum = func(dim int, p grid.Point) {
-		if dim == t.d {
-			if v, ok := raw[p.String()]; ok {
-				s += v
-			}
-			return
-		}
-		for x := boxAnchor[dim]; x <= hi[dim]; x++ {
-			p[dim] = x
-			sum(dim+1, p)
-		}
-	}
-	sum(0, p)
-	return s
 }

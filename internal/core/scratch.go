@@ -12,10 +12,24 @@ import (
 // cost. Buffers are indexed by recursion depth, so the single-descending-
 // path recursion (addRec) never aliases a level's buffers with its
 // parent's. Updates require exclusive access to the tree (documented on
-// the public API), so a single update scratch per tree is sound; nested
-// group trees have their own.
+// the public API), so a single update scratch per tree is sound.
+//
+// An update reaches a nested group tree only from inside its outer
+// tree's descent, and one group at a time, so every group tree of one
+// nesting level shares that level's scratch: next, made with the first
+// group tree. So the first add to reach a group tree of a freshly built
+// d > 2 cube allocates no update buffers for it.
 type scratch struct {
 	frames []scratchFrame
+	next   *scratch
+}
+
+// nested returns the scratch of the group trees one nesting level down.
+func (s *scratch) nested() *scratch {
+	if s.next == nil {
+		s.next = &scratch{}
+	}
+	return s.next
 }
 
 type scratchFrame struct {

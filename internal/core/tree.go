@@ -151,9 +151,10 @@ type Tree struct {
 	ops *cube.OpCounter
 
 	// Update-path scratch (updates require exclusive access, so one set
-	// per tree is sound; nested group trees carry their own). Queries
-	// use pooled per-call scratch instead — see queryScratch.
-	scr  scratch
+	// per tree is sound; nested group trees borrow their outer tree's
+	// next level, see scratch). Queries use pooled per-call scratch
+	// instead — see queryScratch.
+	scr  *scratch
 	zero grid.Point // all-zero root anchor, never written
 	pbuf grid.Point // internalized update point buffer (Add/Set)
 
@@ -220,6 +221,13 @@ func NewWithConfig(dims []int, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newTree(dims, cfg, &arena{}, &cube.OpCounter{}, &scratch{}), nil
+}
+
+// newTree returns an empty tree over dims with a defaulted cfg, keeping
+// its records in ar, its operation counts in ops and its update buffers
+// in scr.
+func newTree(dims []int, cfg Config, ar *arena, ops *cube.OpCounter, scr *scratch) *Tree {
 	n := cfg.Tile
 	for _, sz := range dims {
 		if p := grid.NextPow2(sz); p > n {
@@ -230,31 +238,27 @@ func NewWithConfig(dims []int, cfg Config) (*Tree, error) {
 	for range dims {
 		leafCells *= cfg.Tile
 	}
-	ops := &cube.OpCounter{}
 	return &Tree{
 		d:         len(dims),
 		cfg:       cfg,
 		dims:      append([]int(nil), dims...),
 		origin:    make(grid.Point, len(dims)),
 		n:         n,
-		ar:        &arena{},
+		ar:        ar,
 		root:      noRec,
 		leafCells: leafCells,
 		ops:       ops,
+		scr:       scr,
 		zero:      make(grid.Point, len(dims)),
 		pbuf:      make(grid.Point, len(dims)),
-	}, nil
+	}
 }
 
-// newNested returns a tree used as a (d-1)-dimensional group store,
-// sharing the parent's arena and operation counter.
-func newNested(dims []int, cfg Config, ar *arena, ops *cube.OpCounter) *Tree {
-	t, err := NewWithConfig(dims, cfg)
-	if err != nil {
-		panic(err) // dims are internally generated powers of two
-	}
-	t.ar, t.ops = ar, ops
-	return t
+// newNested returns a tree used as one of t's (d-1)-dimensional group
+// stores: it shares t's arena and operation counter, and the update
+// scratch of the nesting level below t.
+func (t *Tree) newNested(dims []int) *Tree {
+	return newTree(dims, t.cfg, t.ar, t.ops, t.scr.nested())
 }
 
 // node returns the record at address a.

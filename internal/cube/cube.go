@@ -228,6 +228,11 @@ func (a *Array) Clone() *Array {
 // Values returns a copy of the row-major cell values.
 func (a *Array) Values() []int64 { return append([]int64(nil), a.data...) }
 
+// Raw returns the row-major cell values without copying them, for
+// readers that must not pay for a copy (bulk loads); callers must not
+// modify the slice.
+func (a *Array) Raw() []int64 { return a.data }
+
 // ForEachNonZero calls fn for every cell with a nonzero value, in
 // row-major order. The point is reused between calls.
 func (a *Array) ForEachNonZero(fn func(p grid.Point, v int64)) {

@@ -54,7 +54,7 @@ func BulkAblation(w io.Writer) error {
 		}
 		t.AddRow(c.d, c.n, a.Extent().Cells(), bulkMs, incrMs, incrMs/bulkMs)
 	}
-	t.Notes = []string{"the trees answer identically (asserted); bulk construction scans each level once instead of maintaining groups per update"}
+	t.Notes = []string{"the trees answer identically (asserted); bulk construction reads each cell once, summing each box's row sums from its children's, instead of maintaining groups per update"}
 	return t.Render(w)
 }
 

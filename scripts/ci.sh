@@ -4,7 +4,7 @@
 # fault-injection durability tier (DESIGN.md §9: crash/corruption
 # matrices over the WAL and the store), the telemetry-overhead
 # benchmark (DESIGN.md §8; reported, not gated), the dense read
-# benchmarks, the batch-equivalence property tier (DESIGN.md §10), the
+# benchmarks, the bulk-build tier, the batch-equivalence property tier (DESIGN.md §10), the
 # backend guard benchmark, the workload capture tier, the mixed-workload
 # tier for the buffered write front (DESIGN.md §15), the end-to-end
 # benchmark module's own checks plus one answer-checked smoke run, and
@@ -47,6 +47,16 @@ go test -run - -bench BenchmarkTelemetryOverhead -benchtime 0.5s .
 # boxes) its fan-out crossover (ns/op is not gated here; the benchmarks
 # must build and answer).
 go test -run - -bench '(RangeQuery|RangeSumBatch)$/(dense|grown|dashboard|random)' -benchtime 1x .
+# Bulk-build tier: the one-pass face-recurrence build must lay out its
+# arena page for page as the per-box rescan reference does (every
+# backend, tiles 1-8, d = 1-4, all-zero regions, single-tile and empty
+# domains; FuzzBulkBuild's seed corpus), answer like the incremental
+# path, hold the dense 512² cube's live-heap budget, and leave a fresh
+# d = 3 cube's Add at 0 allocations; BuildSharded bulk-loads each slab
+# with it. Then one iteration of each build benchmark row (ns/op is
+# not gated here; the rows must build).
+go test -run 'BuildFromArray|BulkBuild|DenseBulkCubeHeap|BuildSharded' -count=1 . ./internal/core
+go test -run - -bench BuildBulkVsIncremental -benchtime 1x ./internal/core
 # Batch-equivalence property tier: a planned RangeSumBatch must answer
 # exactly what a sequential RangeSum loop answers, on every Cube
 # implementation, grown domains and sharded cubes included (DESIGN.md

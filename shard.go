@@ -99,9 +99,9 @@ func NewSharded(dims []int, shards int, opt Options) (*ShardedCube, error) {
 // BuildSharded bulk-loads a sharded cube from dense row-major values
 // (len(values) must equal the product of dims). Dimension 0 is the
 // outermost coordinate, so each shard's slab is one contiguous chunk of
-// values; the shards are built concurrently through the bottom-up
-// parallel construction path, and the result is identical to replaying
-// one Add per nonzero cell.
+// values; the shards are bulk-loaded concurrently, one BuildDynamic
+// each, and the result is identical to replaying one Add per nonzero
+// cell.
 func BuildSharded(dims []int, values []int64, shards int, opt Options) (*ShardedCube, error) {
 	s, err := NewSharded(dims, shards, opt)
 	if err != nil {
@@ -121,7 +121,7 @@ func BuildSharded(dims []int, values []int64, shards int, opt Options) (*Sharded
 		n0 := sh.c.Dims()[0]
 		sdims := append([]int(nil), dims...)
 		sdims[0] = n0
-		c, err := BuildDynamicParallel(sdims, values[lo*stride:(lo+n0)*stride], opt)
+		c, err := BuildDynamic(sdims, values[lo*stride:(lo+n0)*stride], opt)
 		if err != nil {
 			firstErr.set(err)
 			return

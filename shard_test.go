@@ -194,3 +194,44 @@ func TestIterators(t *testing.T) {
 		t.Fatalf("invalid range yielded %d", count)
 	}
 }
+
+// TestBuildShardedMatchesBuildDynamic bulk-loads the same values as one
+// cube and as slabs of dimension 0 — slab counts that do and do not
+// divide the side, d = 2 and 3 — and requires every prefix sum and the
+// total to agree, and a short values slice to be rejected.
+func TestBuildShardedMatchesBuildDynamic(t *testing.T) {
+	for _, dims := range [][]int{{20, 12}, {9, 6, 5}} {
+		vals := make([]int64, volume(dims))
+		r := workload.NewRNG(uint64(len(dims)))
+		for i := range vals {
+			if r.Intn(3) == 0 {
+				vals[i] = r.Int63n(41) - 20
+			}
+		}
+		whole, err := BuildDynamic(dims, vals, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 3, 4, 100} {
+			sc, err := BuildSharded(dims, vals, shards, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Total() != whole.Total() {
+				t.Fatalf("dims %v shards %d: Total %d, want %d", dims, shards, sc.Total(), whole.Total())
+			}
+			p := make([]int, len(dims))
+			for off := range vals {
+				for i, rest := len(dims)-1, off; i >= 0; i-- {
+					p[i], rest = rest%dims[i], rest/dims[i]
+				}
+				if got, want := sc.Prefix(p), whole.Prefix(p); got != want {
+					t.Fatalf("dims %v shards %d: Prefix(%v) = %d, want %d", dims, shards, p, got, want)
+				}
+			}
+		}
+		if _, err := BuildSharded(dims, vals[1:], 2, Options{}); !errors.Is(err, ErrDims) {
+			t.Fatalf("dims %v: short values gave %v, want ErrDims", dims, err)
+		}
+	}
+}
